@@ -35,7 +35,6 @@ CONFIG_DEFAULTS = {
     "max_outer": 300,
     "j_margin": 2,
     "init": {"kind": "zero", "seed": 0},
-    "poisson_tol": 1e-10,
     "verify": {"n_pairs": 10, "n_perturbations": 12, "unsorted_probe": False},
 }
 
@@ -69,7 +68,10 @@ def load_config(path) -> dict:
             merged[key] = _merge_section(key, user)
         else:
             merged[key] = raw.get(key, default)
-    unknown = set(raw) - set(CONFIG_DEFAULTS)
+    if "poisson_tol" in raw:  # still accepted so that older configs load
+        print("note: config key 'poisson_tol' is deprecated and ignored "
+              "(the Poisson solve is direct)", file=sys.stderr)
+    unknown = set(raw) - set(CONFIG_DEFAULTS) - {"poisson_tol"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return merged
@@ -96,7 +98,6 @@ def solver_config(cfg: dict) -> SolverConfig:
             j_margin=int(cfg["j_margin"]),
             init_kind=str(cfg["init"]["kind"]),
             init_seed=int(cfg["init"]["seed"]),
-            poisson_tol=float(cfg["poisson_tol"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc

@@ -51,7 +51,6 @@ class SolverConfig:
     init_kind: str = "zero"
     init_seed: int = 0
     init_potential: Optional[Field3D] = None
-    poisson_tol: float = 1e-10
     theta_min: float = 1e-3
 
     def __post_init__(self):
@@ -59,8 +58,8 @@ class SolverConfig:
             raise ValueError("M_target must be positive")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping factor must lie in (0, 1]")
-        if self.fp_tol <= 0 or self.poisson_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.fp_tol <= 0:
+            raise ValueError("fixed-point tolerance must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.vext_kind not in VEXT_KINDS:
@@ -136,7 +135,7 @@ class FreeEnergyBreakdown:
     total_primal recombines the band-resolved pieces using the eigenvalue
     relation (band energy double-counts the field, hence the minus);
     total_direct evaluates the defining functional term by term.  On a
-    self-consistent state the two agree to solver tolerance.
+    self-consistent state the two agree up to the fixed-point residual.
     """
 
     kinetic_v: float
@@ -246,7 +245,6 @@ def make_state(
     model: OccupancyModel,
     vext: Field3D | None = None,
     U: Field3D | None = None,
-    poisson_tol: float = 1e-10,
 ) -> EquilibriumState:
     """Assemble a state from a spectrum and chemical potential.
 
@@ -258,7 +256,7 @@ def make_state(
         vext = Field3D(np.zeros(grid.volume_shape))
     rho_j, rho = assemble_density(spectrum, mu, model, grid)
     if U is None:
-        U = solve_poisson(rho, grid, tol=poisson_tol)
+        U = solve_poisson(rho, grid)
     energy = _energy_breakdown(spectrum, mu, rho_j, U, vext, grid, model)
     return EquilibriumState(
         mu=mu, spectrum=spectrum, U=U, rho=rho, rho_j=rho_j, energy=energy
@@ -326,7 +324,7 @@ def _evaluate_cycle(U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D) -> 
     spectrum = solve_slices(W, J, grid)
     mu = solve_mu(cfg.M_target, spectrum, grid, cfg.model)
     rho_j, rho = assemble_density(spectrum, mu, cfg.model, grid)
-    U_out = solve_poisson(rho, grid, tol=cfg.poisson_tol)
+    U_out = solve_poisson(rho, grid)
     energy = _energy_breakdown(spectrum, mu, rho_j, U_out, vext, grid, cfg.model)
     return _Cycle(U_in, spectrum, mu, rho_j, rho, U_out, energy)
 
@@ -356,7 +354,7 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
     cyc = _evaluate_cycle(U, J, cfg, vext)
     for _ in range(cfg.max_outer):
         J = min(choose_J_max(cyc.mu, cfg.j_margin), grid.nz - 1)
-        # Evaluation noise in F (mu bisection, CG tolerance) sits near 1e-9
+        # Evaluation noise in F (mu bisection) sits near 1e-9
         # relative; increases below this floor are not energy climbing.
         accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cyc.energy.total_direct))
         while True:

@@ -144,12 +144,6 @@ def integrate_z(profile, grid: Grid) -> float:
     return float(np.sum(p * grid.z_weights()))
 
 
-def integrate_volume(f, grid: Grid) -> float:
-    """Volume integral: node rule laterally, trapezoid in z."""
-    v = _volume_values(f, grid)
-    return float(np.sum(v * grid.node_volumes()))
-
-
 def l2_norm_volume(f, grid: Grid) -> float:
     """Discrete L2(Omega) norm with the node quadrature weights."""
     v = _volume_values(f, grid)

@@ -147,7 +147,6 @@ def pair_free_energy(
     grid: Grid,
     model: OccupancyModel,
     vext: Field3D | None = None,
-    poisson_tol: float = 1e-11,
 ) -> tuple[float, Field3D]:
     """Free energy of a pair and the potential its density induces.
 
@@ -155,7 +154,7 @@ def pair_free_energy(
     all on the pair's own quadratures.
     """
     rho = pair_density(pair, grid)
-    U = solve_poisson(rho, grid, tol=poisson_tol)
+    U = solve_poisson(rho, grid)
     total = (
         velocity_kinetic(pair, grid)
         + confined_kinetic(pair, grid)

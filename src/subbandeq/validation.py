@@ -55,7 +55,7 @@ def poisson_convergence_study(resolutions=(16, 32, 64)) -> dict:
     weak_defects = []
     for n in resolutions:
         grid, u_star, rho = manufactured_poisson_case(n)
-        U = solve_poisson(rho, grid, tol=1e-12)
+        U = solve_poisson(rho, grid)
         errors.append(float(np.max(np.abs(U.values - u_star))))
         e = dirichlet_energy(U, grid)
         weak_defects.append(abs(potential_pairing(U, rho, grid) - e) / e)

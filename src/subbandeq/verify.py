@@ -333,7 +333,7 @@ def grid_consistent_base(
 
     Iterates eigensolve -> grid-mass chemical potential -> occupations ->
     grid density -> Poisson until the potential is a fixed point of that
-    loop, so the discrete coercivity chain closes to solver tolerance.
+    loop, so the discrete coercivity chain closes up to the residual fp_tol.
     """
     if M_target is None:
         M_target = float(np.sum(state.rho_j) * grid.hy1 * grid.hy2)
@@ -347,7 +347,7 @@ def grid_consistent_base(
         f = _base_occupations(model, mu, spec.lam, vgrid)
         pair = AdmissiblePair(f=f, chi=spec.chi, h=spec.lam.copy(), vgrid=vgrid)
         rho = pair_density(pair, grid)
-        U_new = solve_poisson(rho, grid, tol=1e-12).values
+        U_new = solve_poisson(rho, grid).values
         res = l2_norm_volume(U_new - U, grid) / (1.0 + l2_norm_volume(U, grid))
         if res <= fp_tol:
             break
@@ -357,8 +357,8 @@ def grid_consistent_base(
             f"grid-consistent base did not re-converge to {fp_tol:g} "
             f"in {max_iter} iterations"
         )
-    U_b = solve_poisson(pair_density(pair, grid), grid, tol=1e-12)
-    F, _ = pair_free_energy(pair, grid, model, vext=vext, poisson_tol=1e-12)
+    U_b = solve_poisson(pair_density(pair, grid), grid)
+    F, _ = pair_free_energy(pair, grid, model, vext=vext)
     return GridBase(
         pair=pair,
         U=U_b,
@@ -437,7 +437,7 @@ def check_coercivity(base: GridBase, pert: AdmissiblePair) -> CheckReport:
         raise ValueError("perturbed pair must be occupation-sorted")
     pert.validate_orthonormal(base.grid)
     grid, model = base.grid, base.model
-    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext, poisson_tol=1e-12)
+    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
     lhs = F_pert - base.F
     w = _entropy_weight(base)
     wsum = np.einsum(
@@ -462,7 +462,7 @@ def check_stability_gap(base: GridBase, pert: AdmissiblePair) -> CheckReport:
     if not is_occupation_sorted(pert):
         raise ValueError("perturbed pair must be occupation-sorted")
     grid, model = base.grid, base.model
-    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext, poisson_tol=1e-12)
+    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
     delta = abs(F_pert - base.F) + base.mu * abs(pair_mass(pert, grid) - base.mass)
     gap = 0.5 * dirichlet_energy(U_pert.values - base.U.values, grid)
     rhs = (1.0 + base.mu) * delta

@@ -106,7 +106,7 @@ def test_criterion_02_poisson_convergence():
     errors = []
     for n in (16, 32, 64):
         grid, u_star, rho = manufactured_poisson_case(n)
-        U = solve_poisson(rho, grid, tol=1e-12)
+        U = solve_poisson(rho, grid)
         errors.append(float(np.max(np.abs(U.values - u_star))))
     r1 = errors[0] / errors[1]
     r2 = errors[1] / errors[2]
@@ -131,7 +131,7 @@ def test_criterion_03_weak_form_identity(big_solves):
     for cfg, state, _, _ in big_solves.values():
         solves.append((cfg.grid, state.rho.values))
     for grid, rho in solves:
-        U = solve_poisson(rho, grid, tol=1e-12)
+        U = solve_poisson(rho, grid)
         e = dirichlet_energy(U, grid)
         if e > 0:
             worst = max(worst, abs(potential_pairing(U, rho, grid) - e) / e)

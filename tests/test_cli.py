@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subbandeq
 from subbandeq.cli import main
 
 MINIMAL = {"M_target": 1.0}
@@ -68,6 +73,15 @@ class TestSolve:
         cfg = write_config(tmp_path, {"M_target": 1.0, "bogus": 2})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_deprecated_poisson_tol_ignored_with_note(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**FAST, "poisson_tol": 1e-10})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert "poisson_tol" in capsys.readouterr().err
+        ref = tmp_path / "ref"
+        assert main(["solve", "--config", write_config(tmp_path, FAST, "ref.json"), "--out", str(ref)]) == 0
+        assert (out / "fields.csv").read_bytes() == (ref / "fields.csv").read_bytes()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert (
             main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -98,6 +112,27 @@ class TestVerify:
         b1 = (out1 / "verify_report.json").read_bytes()
         b2 = (out2 / "verify_report.json").read_bytes()
         assert b1 == b2
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        cfg = write_config(tmp_path, self.VCFG)
+        src = str(Path(subbandeq.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "subbandeq.cli", "verify", "--config", cfg, "--out", str(out)],
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            reports.append((out / "verify_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_json_round_trip_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.VCFG)

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subbandeq
 from subbandeq.grid import Field3D, Grid
 from subbandeq.poisson import (
-    PoissonConvergenceError,
     apply_operator,
     dirichlet_energy,
+    neumann_cosine_basis,
     potential_pairing,
     solve_poisson,
 )
@@ -22,7 +28,7 @@ class TestSolvePoisson:
         errors = []
         for n in (16, 32, 64):
             g, u_star, rho = manufactured_poisson_case(n)
-            U = solve_poisson(rho, g, tol=1e-12)
+            U = solve_poisson(rho, g)
             errors.append(np.max(np.abs(U.values - u_star)))
         assert 3.5 <= errors[0] / errors[1] <= 4.5
         assert 3.5 <= errors[1] / errors[2] <= 4.5
@@ -32,9 +38,9 @@ class TestSolvePoisson:
         rng = np.random.default_rng(0)
         r1 = rng.standard_normal(g.volume_shape)
         r2 = rng.standard_normal(g.volume_shape)
-        u12 = solve_poisson(2.0 * r1 - 0.5 * r2, g, tol=1e-12).values
-        u1 = solve_poisson(r1, g, tol=1e-12).values
-        u2 = solve_poisson(r2, g, tol=1e-12).values
+        u12 = solve_poisson(2.0 * r1 - 0.5 * r2, g).values
+        u1 = solve_poisson(r1, g).values
+        u2 = solve_poisson(r2, g).values
         scale = np.max(np.abs(u12))
         assert np.max(np.abs(u12 - 2.0 * u1 + 0.5 * u2)) <= 1e-9 * scale
 
@@ -43,14 +49,57 @@ class TestSolvePoisson:
         g = Grid(8, 8, 16)
         rng = np.random.default_rng(1)
         rho = rng.uniform(0.0, 1.0, g.volume_shape)
-        U = solve_poisson(rho, g, tol=1e-12)
+        U = solve_poisson(rho, g)
         assert np.min(U.values) >= -1e-12 * np.max(U.values)
 
-    def test_iteration_cap_raises(self):
-        g = Grid(8, 8, 16)
-        rho = np.ones(g.volume_shape)
-        with pytest.raises(PoissonConvergenceError):
-            solve_poisson(rho, g, tol=1e-12, max_iter=2)
+    def test_operator_residual_at_rounding(self):
+        # the solve is direct: A U = V rho to rounding, on a non-square,
+        # non-unit cross-section and on the acceptance grid
+        rng = np.random.default_rng(5)
+        for g in (Grid(5, 7, 12, L1=1.0, L2=2.0), Grid(24, 24, 64)):
+            for rho in (rng.standard_normal(g.volume_shape), rng.uniform(0.0, 1.0, g.volume_shape)):
+                U = solve_poisson(rho, g).values
+                b = g.node_volumes() * rho
+                res = np.linalg.norm(apply_operator(U, g) - b)
+                assert res <= 1e-12 * np.linalg.norm(b)
+
+    def test_closed_form_z_basis(self):
+        # V^T Wz V = I and Kz V = Wz V diag(s) for the Neumann stiffness Kz
+        for nz in (5, 12, 64):
+            g = Grid(2, 2, nz)
+            V, s = neumann_cosine_basis(g)
+            W = np.diag(g.z_weights())
+            D = np.diff(np.eye(nz + 1), axis=0)
+            K = D.T @ D
+            np.testing.assert_allclose(V.T @ W @ V, np.eye(nz + 1), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(K @ V, W @ V * s, rtol=0, atol=1e-13)
+
+    def test_bitwise_identical_across_blas_thread_counts(self):
+        # 24 x 24 x 64 is large enough for BLAS to split the transforms
+        # across threads; the tiny verify run in test_cli is not
+        script = (
+            "import hashlib, numpy as np\n"
+            "from subbandeq.grid import Grid\n"
+            "from subbandeq.poisson import solve_poisson\n"
+            "g = Grid(24, 24, 64)\n"
+            "rho = np.random.default_rng(1).uniform(0.0, 1.0, g.volume_shape)\n"
+            "print(hashlib.sha256(solve_poisson(rho, g).values.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(subbandeq.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+                text=True, timeout=120,
+            )
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
     def test_accepts_field3d(self):
         g = Grid(4, 4, 8)
@@ -65,13 +114,13 @@ class TestWeakFormIdentity:
         rng = np.random.default_rng(2)
         for _ in range(5):
             rho = rng.standard_normal(g.volume_shape)
-            U = solve_poisson(rho, g, tol=1e-12)
+            U = solve_poisson(rho, g)
             e = dirichlet_energy(U, g)
             assert abs(potential_pairing(U, rho, g) - e) <= 1e-8 * e
 
     def test_manufactured_pairing(self):
         g, u_star, rho = manufactured_poisson_case(24)
-        U = solve_poisson(rho, g, tol=1e-12)
+        U = solve_poisson(rho, g)
         e = dirichlet_energy(U, g)
         assert abs(potential_pairing(U, rho, g) - e) <= 1e-8 * e
 
