@@ -5,13 +5,17 @@ One outer cycle maps a trial potential U to a new one:
     eigensolve every lateral slice of U + V_ext
       -> chemical potential mu matching the target mass
       -> per-band densities rho_j = 2 pi G(mu - lambda_j) and total density
-      -> Poisson solve for the induced potential
+      -> Poisson solve for the induced potential U_new = G(U)
       -> damped update U <- (1 - theta) U + theta U_new.
 
 Damping is adaptive: a step that raises the (directly evaluated) free
 energy is rejected and retried with theta halved, so the recorded free
-energy is nonincreasing after the first accepted step.  Everything is
-deterministic for a fixed configuration.
+energy is nonincreasing after the first accepted step.  The loop stops at
+the first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
+tolerance, so the certificate does not depend on theta.  fixed_point runs
+the loop for any object with the gap profiles of OccupancyModel; verify
+runs it with speed-grid profiles for its grid-consistent base.
+Everything is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -337,22 +341,31 @@ def _initial_potential(cfg: SolverConfig) -> Field3D:
     return cfg.init_potential
 
 
-def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTrace]:
-    """Damped fixed-point iteration for the self-consistent state.
+def _map_residual(cyc: _Cycle, grid: Grid) -> float:
+    """||G(U) - U|| / (1 + ||U||) of one cycle."""
+    return l2_norm_volume(cyc.U_out.values - cyc.U_in.values, grid) / (
+        1.0 + l2_norm_volume(cyc.U_in.values, grid)
+    )
 
-    Returns the final state and the per-iteration trace; trace.converged
-    tells whether the residual target was met within cfg.max_outer cycles.
-    The state always satisfies the mass and density-assembly identities;
-    the residual certifies Schrodinger-Poisson consistency.
+
+def fixed_point(
+    U0: Field3D, cfg: SolverConfig, vext: Field3D
+) -> tuple[_Cycle, IterationTrace]:
+    """Damped fixed-point iteration of the outer cycle, started at U0.
+
+    cfg.model supplies the gap profiles G, K, B (and T) that turn each
+    spectrum into a mass, a density and a free energy.  Stops at the first
+    cycle, the starting one included, whose map residual is at most
+    cfg.fp_tol, or after cfg.max_outer accepted steps; returns that cycle
+    and one trace row per accepted step.
     """
     grid = cfg.grid
-    vext = external_potential(cfg)
     trace = IterationTrace()
     theta = cfg.theta
-    U = _initial_potential(cfg)
     J = min(choose_J_max(0.0, cfg.j_margin), grid.nz - 1)
-    cyc = _evaluate_cycle(U, J, cfg, vext)
-    for _ in range(cfg.max_outer):
+    cyc = _evaluate_cycle(U0, J, cfg, vext)
+    residual = _map_residual(cyc, grid)
+    while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
         J = min(choose_J_max(cyc.mu, cfg.j_margin), grid.nz - 1)
         # Evaluation noise in F (mu bisection) sits near 1e-9
         # relative; increases below this floor are not energy climbing.
@@ -366,22 +379,29 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
             ):
                 break
             theta *= 0.5
-        residual = l2_norm_volume(
-            U_try.values - cyc.U_in.values, grid
-        ) / (1.0 + l2_norm_volume(cyc.U_in.values, grid))
         cyc = nxt
+        residual = _map_residual(cyc, grid)
         trace.append(residual, cyc.mu, cyc.j_active, cyc.energy.total_direct, theta)
-        if residual <= cfg.fp_tol:
-            trace.converged = True
-            break
+    trace.converged = residual <= cfg.fp_tol
+    return cyc, trace
+
+
+def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTrace]:
+    """Self-consistent state by the damped fixed-point iteration.
+
+    Returns the final state and the per-iteration trace; trace.converged
+    tells whether the map residual of the returned state's cycle met
+    cfg.fp_tol within cfg.max_outer steps.  The state always satisfies the
+    mass and density-assembly identities; the residual certifies
+    Schrodinger-Poisson consistency.
+    """
+    cyc, trace = fixed_point(_initial_potential(cfg), cfg, external_potential(cfg))
     state = EquilibriumState(
         mu=cyc.mu,
         spectrum=cyc.spectrum,
         U=cyc.U_out,
         rho=cyc.rho,
         rho_j=cyc.rho_j,
-        energy=_energy_breakdown(
-            cyc.spectrum, cyc.mu, cyc.rho_j, cyc.U_out, vext, grid, cfg.model
-        ),
+        energy=cyc.energy,
     )
     return state, trace

@@ -15,17 +15,16 @@ them:
     K(a) = int_0^{a+} (a - s) occ(s) ds        (velocity kinetic energy / (2 pi))
     B(a) = int_0^{a+} beta(occ(s)) ds          (entropy Casimir density / (2 pi))
 
-plus W(a) = int_0^{a+} min(s, T beta'(1)) occ(s) ds, the entropy-slope
-moment used by the coercivity check.  The velocity plane is never
-discretized: for the built-in power family beta(s) = s^p / p (p > 1) all
-profiles are evaluated in closed form; other entropy callbacks fall back
-to adaptive quadrature with 1e-12 absolute tolerance.
+The entropy density is the power family beta(s) = s^p / p (p > 1), for
+which all three profiles have closed forms, so the velocity plane is never
+discretized.  Adaptive quadrature of the occupation law (1e-12 absolute
+tolerance, profiles_by_quadrature) is kept as the reference they are
+tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,44 +34,28 @@ QUAD_ABS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OccupancyModel:
-    """Temperature plus entropy density; default is the power family s^p / p."""
+    """Temperature plus the power-family entropy density s^p / p."""
 
     T: float = 0.0
     p: float = 2.0
-    beta_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    beta_prime_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    beta_prime_inv_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.T < 0:
             raise ValueError("temperature must be nonnegative")
-        if self.beta_fn is None and not self.p > 1:
+        if not self.p > 1:
             raise ValueError("power family requires p > 1 (strict convexity)")
-        custom = (self.beta_fn, self.beta_prime_fn, self.beta_prime_inv_fn)
-        if any(c is not None for c in custom) and any(c is None for c in custom):
-            raise ValueError("custom entropy needs beta, beta' and (beta')^-1 together")
-
-    @property
-    def is_power(self) -> bool:
-        return self.beta_fn is None
 
     def beta(self, s):
         s = np.asarray(s, dtype=float)
-        if self.is_power:
-            return s**self.p / self.p
-        return np.vectorize(self.beta_fn, otypes=[float])(s)
+        return s**self.p / self.p
 
     def beta_prime(self, s):
         s = np.asarray(s, dtype=float)
-        if self.is_power:
-            return s ** (self.p - 1.0)
-        return np.vectorize(self.beta_prime_fn, otypes=[float])(s)
+        return s ** (self.p - 1.0)
 
     def beta_prime_inv(self, u):
         u = np.asarray(u, dtype=float)
-        if self.is_power:
-            return u ** (1.0 / (self.p - 1.0))
-        return np.vectorize(self.beta_prime_inv_fn, otypes=[float])(u)
+        return u ** (1.0 / (self.p - 1.0))
 
     def occupancy(self, s):
         """The occupation law at energy surplus s; values in [0, 1].
@@ -85,36 +68,29 @@ class OccupancyModel:
             out = np.where(s >= 0.0, 1.0, 0.0)
         else:
             pos = s >= 0.0
-            out = np.zeros_like(s)
             ratio = np.where(pos, s / self.T, 0.0)
             out = np.where(pos, np.minimum(self.beta_prime_inv(ratio), 1.0), 0.0)
         return out if out.ndim else float(out)
 
     # ---- energy-gap profiles ------------------------------------------------
 
-    def _cutoff(self) -> float:
-        """Surplus at which occupancy saturates: s = T beta'(1)."""
-        return self.T * float(self.beta_prime(1.0))
-
     def profile_g(self, a):
         a = np.asarray(a, dtype=float)
         if self.T == 0.0:
             out = np.maximum(a, 0.0)
-        elif self.is_power:
+        else:
             q = 1.0 / (self.p - 1.0)
             T = self.T
             ac = np.clip(a, 0.0, T)
             out = ac ** (q + 1.0) / ((q + 1.0) * T**q)
             out = out + np.maximum(a - T, 0.0)
-        else:
-            out = self._quad_profile(a, lambda s: self._occ_scalar(s))
         return out if out.ndim else float(out)
 
     def profile_k(self, a):
         a = np.asarray(a, dtype=float)
         if self.T == 0.0:
             out = 0.5 * np.maximum(a, 0.0) ** 2
-        elif self.is_power:
+        else:
             q = 1.0 / (self.p - 1.0)
             T = self.T
             ap = np.maximum(a, 0.0)
@@ -125,53 +101,26 @@ class OccupancyModel:
                 + 0.5 * (ap - T) ** 2
             )
             out = np.where(ap <= T, below, above)
-        else:
-            out = np.empty_like(a)
-            flat_a = a.reshape(-1)
-            flat_o = out.reshape(-1)
-            for i, ai in enumerate(flat_a):
-                if ai <= 0:
-                    flat_o[i] = 0.0
-                else:
-                    flat_o[i] = self._quad_scalar(
-                        lambda s, ai=ai: (ai - s) * self._occ_scalar(s), ai
-                    )
         return out if out.ndim else float(out)
 
     def profile_b(self, a):
         a = np.asarray(a, dtype=float)
         if self.T == 0.0:
             out = float(self.beta(1.0)) * np.maximum(a, 0.0)
-        elif self.is_power:
+        else:
             q = 1.0 / (self.p - 1.0)
             T = self.T
             p = self.p
             ac = np.clip(a, 0.0, T)
             out = ac ** (q + 2.0) / (p * (q + 2.0) * T ** (q + 1.0))
             out = out + np.maximum(a - T, 0.0) / p
-        else:
-            out = self._quad_profile(a, lambda s: self.beta_fn(self._occ_scalar(s)))
         return out if out.ndim else float(out)
 
-    def profile_w(self, a):
-        """int_0^{a+} min(s, T beta'(1)) occ(s) ds, the T beta'(occ) moment."""
-        a = np.asarray(a, dtype=float)
-        if self.T == 0.0:
-            out = np.zeros_like(a)
-        elif self.is_power:
-            q = 1.0 / (self.p - 1.0)
-            T = self.T
-            ac = np.clip(a, 0.0, T)
-            out = ac ** (q + 2.0) / ((q + 2.0) * T**q)
-            out = out + T * np.maximum(a - T, 0.0)
-        else:
-            c = self._cutoff()
-            out = self._quad_profile(
-                a, lambda s: min(s, c) * self._occ_scalar(s)
-            )
-        return out if out.ndim else float(out)
+    # ---- quadrature reference ------------------------------------------------
 
-    # ---- quadrature fallback -------------------------------------------------
+    def _cutoff(self) -> float:
+        """Surplus at which occupancy saturates: s = T beta'(1)."""
+        return self.T * float(self.beta_prime(1.0))
 
     def _occ_scalar(self, s: float) -> float:
         if s < 0:
@@ -185,14 +134,6 @@ class OccupancyModel:
         pts = [cut] if 0.0 < cut < upper else None
         val, _ = quad(integrand, 0.0, upper, points=pts, epsabs=QUAD_ABS_TOL, limit=200)
         return val
-
-    def _quad_profile(self, a: np.ndarray, integrand) -> np.ndarray:
-        out = np.empty_like(a)
-        flat_a = a.reshape(-1)
-        flat_o = out.reshape(-1)
-        for i, ai in enumerate(flat_a):
-            flat_o[i] = 0.0 if ai <= 0 else self._quad_scalar(integrand, ai)
-        return out
 
 
 def profiles_by_quadrature(model: OccupancyModel, a: float) -> tuple[float, float, float]:

@@ -10,7 +10,9 @@ base pair that is re-converged under the same radial-grid quadrature used
 for the perturbation.  Mixing the exact profile integrals of the solver
 with grid sums would inject quadrature mismatch far above the asserted
 slack; with one consistent quadrature the inequalities hold to solver
-tolerance, which is what gets verified.
+tolerance, which is what gets verified.  The base comes from the solver's
+own fixed-point loop, run with speed-grid gap profiles in place of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .equilibrium import (
     EquilibriumState,
     SolverConfig,
     external_potential,
+    fixed_point,
     solve_equilibrium,
 )
-from .grid import Field3D, Grid, l2_norm_volume
+from .grid import Field3D, Grid
 from .occupancy import OccupancyModel
-from .poisson import dirichlet_energy, solve_poisson
+# Keep solve_slices, solve_poisson, pair_free_energy bound: perfbench/spans.py rebinds them.
+from .poisson import dirichlet_energy, solve_poisson  # noqa: F401
 from .rearrange import (
     RadialGrid,
     AdmissiblePair,
@@ -48,7 +52,7 @@ from .rearrange import (
     rearrange_occupation_decreasing,
     velocity_kinetic,
 )
-from .schrodinger import profile_kinetic_energy, solve_slices
+from .schrodinger import profile_kinetic_energy, solve_slices  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -257,65 +261,62 @@ class GridBase:
 
 
 def _base_occupations(
-    model: OccupancyModel, mu: float, lam: np.ndarray, vgrid: RadialGrid
+    model: OccupancyModel, a: np.ndarray, vgrid: RadialGrid
 ) -> np.ndarray:
-    """Ansatz occupations on the speed grid, shaped (ny1, ny2, J, nv).
+    """Ansatz occupations on the speed grid at gaps a = mu - lambda_j(y).
 
-    At T > 0 these are pointwise values of the occupation law.  At T = 0
-    the law is an indicator, whose raw samples make the self-consistency
-    map discontinuous in the potential; instead each node carries the
-    average of the indicator over its energy cell, which is the same
-    admissible, band-monotone pair but depends continuously (piecewise
-    linearly) on the spectrum.
+    Returns shape a.shape + (nv,).  At T > 0 these are pointwise values of
+    the occupation law.  At T = 0 the law is an indicator, whose raw
+    samples make the self-consistency map discontinuous in the potential;
+    instead each node carries the average of the indicator over its energy
+    cell, which is the same admissible, band-monotone pair but depends
+    continuously (piecewise linearly) on the spectrum.
     """
     u = 0.5 * vgrid.r**2
-    a = mu - lam[..., None]
+    a = np.asarray(a, dtype=float)[..., None]
     if model.T > 0.0:
-        return model.occupancy(a - u[None, None, None, :])
+        return model.occupancy(a - u)
     lo = np.empty_like(u)
     hi = np.empty_like(u)
     lo[0], lo[1:] = u[0], 0.5 * (u[:-1] + u[1:])
     hi[:-1], hi[-1] = lo[1:], u[-1]
     width = np.maximum(hi - lo, 1e-300)
-    return np.clip((a - lo[None, None, None, :]) / width, 0.0, 1.0)
+    return np.clip((a - lo) / width, 0.0, 1.0)
 
 
-def _solve_mu_on_grid(
-    M: float,
-    lam: np.ndarray,
-    vgrid: RadialGrid,
-    grid: Grid,
-    model: OccupancyModel,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Invert the speed-grid mass function (continuous, nondecreasing)."""
+@dataclass(frozen=True)
+class _SpeedGridProfiles:
+    """Gap profiles G, K, B of model with the velocity plane on vgrid.
 
-    def mass(mu):
-        f = _base_occupations(model, mu, lam, vgrid)
-        return float(
-            np.einsum("abjv,v->", f, vgrid.weights) * grid.hy1 * grid.hy2
-        )
+    Each profile is the speed-grid sum of the base occupations (weighted
+    by 1, |v|^2/2 or beta) divided by 2 pi.  As SolverConfig.model it makes
+    the equilibrium loop's mass, density and free energy those of the
+    sampled pair, as the rearrange-module functionals compute them.
+    """
 
-    lo = float(np.min(lam[:, :, 0]))
-    offset = 1.0
-    for _ in range(200):
-        if mass(lo + offset) >= M:
-            break
-        offset *= 2.0
-    else:
-        raise RuntimeError("failed to bracket mu on the speed grid")
-    hi = lo + offset
-    tol = max(rel_tol * M, 64.0 * np.finfo(float).eps * max(1.0, abs(hi)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = mass(mid)
-        if abs(m - M) <= tol:
-            return mid
-        if m < M:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    model: OccupancyModel
+    vgrid: RadialGrid
+
+    @property
+    def T(self) -> float:
+        return self.model.T
+
+    def _moment(self, values: np.ndarray) -> np.ndarray:
+        return np.einsum("...v,v->...", values, self.vgrid.weights) / (2.0 * np.pi)
+
+    def profile_g(self, a):
+        return self._moment(_base_occupations(self.model, a, self.vgrid))
+
+    def profile_k(self, a):
+        u = 0.5 * self.vgrid.r**2
+        return self._moment(_base_occupations(self.model, a, self.vgrid) * u)
+
+    def profile_b(self, a):
+        return self._moment(self.model.beta(_base_occupations(self.model, a, self.vgrid)))
+
+
+_BASE_FP_TOL = 1e-9
+_BASE_MAX_STEPS = 400
 
 
 def grid_consistent_base(
@@ -323,48 +324,37 @@ def grid_consistent_base(
     vext: Field3D,
     grid: Grid,
     model: OccupancyModel,
-    M_target: float | None = None,
-    vgrid: RadialGrid | None = None,
-    fp_tol: float = 1e-9,
-    theta: float = 0.5,
-    max_iter: int = 400,
 ) -> GridBase:
     """Re-converge a solved state with all velocity integrals on a speed grid.
 
-    Iterates eigensolve -> grid-mass chemical potential -> occupations ->
-    grid density -> Poisson until the potential is a fixed point of that
-    loop, so the discrete coercivity chain closes up to the residual fp_tol.
+    Runs the equilibrium fixed-point loop from state.U at the state's mass,
+    with the speed-grid profiles of model in place of the closed forms,
+    until the potential's map residual is at most 1e-9; the discrete
+    coercivity chain then closes up to that residual.
     """
-    if M_target is None:
-        M_target = float(np.sum(state.rho_j) * grid.hy1 * grid.hy2)
-    J = state.spectrum.J
-    if vgrid is None:
-        vgrid = speed_grid_for(state.mu, float(np.min(state.spectrum.lam[:, :, 0])))
-    U = state.U.values.copy()
-    for _ in range(max_iter):
-        spec = solve_slices((U + vext.values)[:, :, 1:-1], J, grid)
-        mu = _solve_mu_on_grid(M_target, spec.lam, vgrid, grid, model)
-        f = _base_occupations(model, mu, spec.lam, vgrid)
-        pair = AdmissiblePair(f=f, chi=spec.chi, h=spec.lam.copy(), vgrid=vgrid)
-        rho = pair_density(pair, grid)
-        U_new = solve_poisson(rho, grid).values
-        res = l2_norm_volume(U_new - U, grid) / (1.0 + l2_norm_volume(U, grid))
-        if res <= fp_tol:
-            break
-        U = (1.0 - theta) * U + theta * U_new
-    else:
+    vgrid = speed_grid_for(state.mu, float(np.min(state.spectrum.lam[:, :, 0])))
+    cfg = SolverConfig(
+        M_target=float(np.sum(state.rho_j) * grid.hy1 * grid.hy2),
+        model=_SpeedGridProfiles(model, vgrid),
+        grid=grid,
+        fp_tol=_BASE_FP_TOL,
+        max_outer=_BASE_MAX_STEPS,
+    )
+    cyc, trace = fixed_point(state.U, cfg, vext)
+    if not trace.converged:
         raise RuntimeError(
-            f"grid-consistent base did not re-converge to {fp_tol:g} "
-            f"in {max_iter} iterations"
+            f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
+            f"in {_BASE_MAX_STEPS} steps"
         )
-    U_b = solve_poisson(pair_density(pair, grid), grid)
-    F, _ = pair_free_energy(pair, grid, model, vext=vext)
+    spec = cyc.spectrum
+    f = _base_occupations(model, cyc.mu - spec.lam, vgrid)
+    pair = AdmissiblePair(f=f, chi=spec.chi, h=spec.lam.copy(), vgrid=vgrid)
     return GridBase(
         pair=pair,
-        U=U_b,
+        U=cyc.U_out,
         lam=spec.lam,
-        mu=mu,
-        F=F,
+        mu=cyc.mu,
+        F=cyc.energy.total_direct,
         mass=pair_mass(pair, grid),
         model=model,
         vext=vext,

@@ -10,7 +10,7 @@ from subbandeq.equilibrium import (
     make_state,
     solve_equilibrium,
 )
-from subbandeq.grid import Field3D, Grid, integrate_z
+from subbandeq.grid import Field3D, Grid, integrate_z, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import gradient_distance, dirichlet_energy
 from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
@@ -18,6 +18,31 @@ from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
 
 def free_spectrum(grid, J):
     return solve_slices(np.zeros((grid.ny1, grid.ny2, grid.nz - 1)), J, grid)
+
+
+def _patch_linear_map(monkeypatch, g, factor):
+    """Replace the outer cycle by U -> factor * U with free energy |U|^2."""
+    import subbandeq.equilibrium as eq
+
+    class FakeSpectrum:
+        lam = np.full((g.ny1, g.ny2, 1), 10.0)
+
+    class FakeEnergy:
+        def __init__(self, F):
+            self.total_direct = F
+
+    class FakeCycle:
+        def __init__(self, U_in):
+            self.U_in = U_in
+            self.spectrum = FakeSpectrum()
+            self.mu = 1.0
+            self.rho_j = np.zeros((g.ny1, g.ny2, 1))
+            self.rho = Field3D(np.zeros(g.volume_shape))
+            self.U_out = Field3D(factor * U_in.values)
+            self.energy = FakeEnergy(float(np.sum(U_in.values**2)))
+        j_active = 0
+
+    monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext: FakeCycle(U))
 
 
 class TestChooseJMax:
@@ -177,29 +202,7 @@ class TestSolveEquilibrium:
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
-
-        class FakeSpectrum:
-            lam = np.full((4, 4, 1), 10.0)
-
-        class FakeEnergy:
-            def __init__(self, F):
-                self.total_direct = F
-
-        class FakeCycle:
-            def __init__(self, U_in):
-                self.U_in = U_in
-                self.spectrum = FakeSpectrum()
-                self.mu = 1.0
-                self.rho_j = np.zeros((4, 4, 1))
-                self.rho = Field3D(np.zeros(g.volume_shape))
-                self.U_out = Field3D(-1.5 * U_in.values)
-                self.energy = FakeEnergy(float(np.sum(U_in.values**2)))
-            j_active = 0
-
-        monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext: FakeCycle(U))
-        monkeypatch.setattr(
-            eq, "_energy_breakdown", lambda *a, **k: FakeEnergy(0.0), raising=True
-        )
+        _patch_linear_map(monkeypatch, g, -1.5)
         U0 = Field3D(np.ones(g.volume_shape))
         cfg = SolverConfig(
             M_target=1.0, grid=g, theta=1.0, fp_tol=1e-10, max_outer=200,
@@ -211,6 +214,32 @@ class TestSolveEquilibrium:
         assert all(t == 0.5 for t in trace.thetas)
         noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
         assert np.all(np.diff(trace.free_energies) <= noise)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.125])
+    def test_certificate_independent_of_theta(self, monkeypatch, theta):
+        # map U -> U / 2 with fixed point 0: ||U|| is the distance to the
+        # fixed point, so the returned potential must meet fp_tol whatever
+        # the damping (a damped-step certificate overshoots it by 1/theta)
+        g = Grid(4, 4, 8)
+        _patch_linear_map(monkeypatch, g, 0.5)
+        cfg = SolverConfig(
+            M_target=1.0, grid=g, theta=theta, fp_tol=1e-6, max_outer=500,
+            init_kind="supplied", init_potential=Field3D(np.ones(g.volume_shape)),
+        )
+        state, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert l2_norm_volume(state.U, g) <= cfg.fp_tol
+
+    def test_converged_start_takes_no_step(self):
+        g = Grid(6, 6, 16)
+        base = dict(M_target=1.0, grid=g, vext_kind="zwell")
+        state, _ = solve_equilibrium(SolverConfig(**base, fp_tol=1e-11))
+        again, trace = solve_equilibrium(
+            SolverConfig(**base, fp_tol=1e-9, init_kind="supplied", init_potential=state.U)
+        )
+        assert trace.converged
+        assert trace.iterations == 0
+        assert again.mu == pytest.approx(state.mu, rel=1e-9)
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)

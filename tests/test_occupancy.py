@@ -62,8 +62,6 @@ class TestOccupationLaw:
             OccupancyModel(T=-0.1)
         with pytest.raises(ValueError):
             OccupancyModel(T=1.0, p=1.0)
-        with pytest.raises(ValueError):
-            OccupancyModel(T=1.0, beta_fn=lambda s: s**2)
 
 
 class TestProfiles:
@@ -86,7 +84,6 @@ class TestProfiles:
             assert np.all(model.profile_g(a) == 0.0)
             assert np.all(model.profile_k(a) == 0.0)
             assert np.all(model.profile_b(a) == 0.0)
-            assert np.all(model.profile_w(a) == 0.0)
 
     def test_monotonicity_and_k_bound(self):
         a = np.linspace(-1.0, 10.0, 200)
@@ -106,21 +103,6 @@ class TestProfiles:
             assert model.profile_g(a) == pytest.approx(g, abs=1e-10)
             assert model.profile_k(a) == pytest.approx(k, abs=1e-10)
             assert model.profile_b(a) == pytest.approx(b, abs=1e-10)
-
-    def test_custom_callbacks_route_through_quadrature(self):
-        p = 2.0
-        custom = OccupancyModel(
-            T=0.5,
-            beta_fn=lambda s: s**p / p,
-            beta_prime_fn=lambda s: s ** (p - 1),
-            beta_prime_inv_fn=lambda u: u ** (1.0 / (p - 1)),
-        )
-        reference = OccupancyModel(T=0.5, p=p)
-        for a in (0.1, 0.25, 0.7, 3.0):
-            assert custom.profile_g(a) == pytest.approx(reference.profile_g(a), abs=1e-10)
-            assert custom.profile_k(a) == pytest.approx(reference.profile_k(a), abs=1e-10)
-            assert custom.profile_b(a) == pytest.approx(reference.profile_b(a), abs=1e-10)
-            assert custom.profile_w(a) == pytest.approx(reference.profile_w(a), abs=1e-10)
 
 
 class TestMass:

@@ -4,8 +4,11 @@ import pytest
 from subbandeq.equilibrium import SolverConfig, external_potential, solve_equilibrium
 from subbandeq.grid import Grid
 from subbandeq.occupancy import OccupancyModel
+from subbandeq.poisson import solve_poisson
 from subbandeq.rearrange import (
     RadialGrid,
+    pair_density,
+    pair_free_energy,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
@@ -126,6 +129,7 @@ class TestGridBase:
         # potential equals the Poisson solve of the pair density, mass on target
         assert base.mass == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(base.pair.f, axis=2) <= 1e-15)
+        _assert_pair_quadrature(base)
 
     def test_zero_temperature_base(self):
         cfg = SolverConfig(
@@ -137,6 +141,15 @@ class TestGridBase:
         b = grid_consistent_base(state, vext, GRID, MODEL_T0)
         assert b.mass == pytest.approx(1.0, abs=1e-9)
         assert abs(b.mu - state.mu) <= 1e-3
+        _assert_pair_quadrature(b)
+
+
+def _assert_pair_quadrature(base):
+    """F and U of the base are those of its own pair, to rounding."""
+    F, _ = pair_free_energy(base.pair, GRID, base.model, vext=base.vext)
+    assert base.F == pytest.approx(F, rel=1e-12)
+    U = solve_poisson(pair_density(base.pair, GRID), GRID).values
+    assert np.max(np.abs(base.U.values - U)) <= 1e-12 * np.max(np.abs(U))
 
 
 class TestCoercivity:
