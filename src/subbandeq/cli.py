@@ -121,17 +121,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
     grid = cfg.grid
-    gaps = state.mu - state.spectrum.lam
-    j_active = int(np.sum(np.max(gaps, axis=(0, 1)) > 0.0))
     _dump_json(
         {
             "mu": state.mu,
-            "J_active": j_active,
+            "J_active": state.j_active,
             "free_energy": state.energy.as_dict(),
             "residual": trace.residuals[-1] if trace.residuals else None,
             "iterations": trace.iterations,
             "converged": trace.converged,
             "mass": state.mass(grid),
+            "top_band_margin": state.top_band_margin,
+            "theta_min_rises": trace.theta_min_rises,
         },
         out / "state.json",
     )
@@ -183,6 +183,8 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     state, trace = solve_equilibrium(cfg)
     _write_solution(state, trace, cfg, out)
+    if n := trace.theta_min_rises:
+        print(f"note: {n} step(s) accepted at theta_min raised the free energy", file=sys.stderr)
     return 0 if trace.converged else 2
 
 
@@ -237,14 +239,12 @@ def cmd_sweep(args) -> int:
         if not trace.converged:
             print(f"sweep value {value} did not converge", file=sys.stderr)
             return 2
-        gaps = state.mu - state.spectrum.lam
-        j_active = int(np.sum(np.max(gaps, axis=(0, 1)) > 0.0))
         mus.append(state.mu)
         rows.append(
             (
                 float(value),
                 state.mu,
-                j_active,
+                state.j_active,
                 state.energy.total_direct,
                 trace.iterations,
             )

@@ -2,7 +2,7 @@
 
 One outer cycle maps a trial potential U to a new one:
 
-    eigensolve every lateral slice of U + V_ext
+    eigensolve every lateral slice of U + V_ext (from the last cycle's modes)
       -> chemical potential mu matching the target mass
       -> per-band densities rho_j = 2 pi G(mu - lambda_j) and total density
       -> Poisson solve for the induced potential U_new = G(U)
@@ -10,7 +10,8 @@ One outer cycle maps a trial potential U to a new one:
 
 Damping is adaptive: a step that raises the (directly evaluated) free
 energy is rejected and retried with theta halved, so the recorded free
-energy is nonincreasing after the first accepted step.  The loop stops at
+energy is nonincreasing after the first accepted step; only a step taken at
+theta_min may raise it, and the trace counts those steps.  The loop stops at
 the first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
 tolerance, so the certificate does not depend on theta.  fixed_point runs
 the loop for any object with the gap profiles of OccupancyModel; verify
@@ -195,6 +196,16 @@ class EquilibriumState:
     def mass(self, grid: Grid) -> float:
         return float(np.sum(self.rho_j) * grid.hy1 * grid.hy2)
 
+    @property
+    def j_active(self) -> int:
+        """Bands occupied somewhere: max_y (mu - lambda_j(y)) > 0."""
+        return int(np.sum(np.max(self.mu - self.spectrum.lam, axis=(0, 1)) > 0.0))
+
+    @property
+    def top_band_margin(self) -> float:
+        """min_y lambda_J(y) - mu; positive: no occupied band was cut off."""
+        return float(np.min(self.spectrum.lam[..., -1]) - self.mu)
+
     def validate(self, grid: Grid, model: OccupancyModel, M_target: float) -> None:
         m = self.mass(grid)
         if abs(m - M_target) > 1e-8 * M_target:
@@ -217,6 +228,8 @@ class IterationTrace:
     free_energies: list = field(default_factory=list)
     thetas: list = field(default_factory=list)
     converged: bool = False
+    # Steps accepted at theta_min although they raised the free energy.
+    theta_min_rises: int = 0
 
     @property
     def iterations(self) -> int:
@@ -295,8 +308,7 @@ def active_subband_count(state: EquilibriumState) -> tuple[int, float]:
 
     Raises if the count violates the cap.
     """
-    gaps = state.mu - state.spectrum.lam
-    j_active = int(np.sum(np.max(gaps, axis=(0, 1)) > 0.0))
+    j_active = state.j_active
     bound = math.sqrt(3.0 * max(state.mu, 0.0)) / math.pi + 1.0
     if not j_active < bound:
         raise AssertionError(
@@ -322,10 +334,10 @@ class _Cycle:
         return int(np.sum(np.max(self.mu - self.spectrum.lam, axis=(0, 1)) > 0.0))
 
 
-def _evaluate_cycle(U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D) -> _Cycle:
+def _evaluate_cycle(U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D, guess=None) -> _Cycle:
     grid = cfg.grid
     W = (U_in.values + vext.values)[:, :, 1:-1]
-    spectrum = solve_slices(W, J, grid)
+    spectrum = solve_slices(W, J, grid, guess)
     mu = solve_mu(cfg.M_target, spectrum, grid, cfg.model)
     rho_j, rho = assemble_density(spectrum, mu, cfg.model, grid)
     U_out = solve_poisson(rho, grid)
@@ -372,11 +384,11 @@ def fixed_point(
         accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cyc.energy.total_direct))
         while True:
             U_try = Field3D((1.0 - theta) * cyc.U_in.values + theta * cyc.U_out.values)
-            nxt = _evaluate_cycle(U_try, J, cfg, vext)
-            if (
-                nxt.energy.total_direct <= cyc.energy.total_direct + accept_tol
-                or theta <= cfg.theta_min
-            ):
+            nxt = _evaluate_cycle(U_try, J, cfg, vext, cyc.spectrum)
+            if nxt.energy.total_direct <= cyc.energy.total_direct + accept_tol:
+                break
+            if theta <= cfg.theta_min:
+                trace.theta_min_rises += 1
                 break
             theta *= 0.5
         cyc = nxt

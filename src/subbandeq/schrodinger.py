@@ -3,10 +3,14 @@
 On every lateral node the z-profile of the potential defines a 1D
 Hamiltonian -(1/2) d^2/dz^2 + W(z) with zero boundary values at z = 0, 1.
 Three-point differences on the interior z-nodes give a symmetric
-tridiagonal matrix (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
-spectrum is real and simple; LAPACK bisection + inverse iteration computes
-the lowest J pairs deterministically, and a Rayleigh-quotient polish takes
-the eigenvalues to machine accuracy.
+tridiagonal matrix T (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
+spectrum is real and simple.  Cold slices go to LAPACK's MRRR (dstemr).
+Warm slices start from the previous cycle's modes: Rayleigh-quotient
+iteration runs on all (slice, band) pairs of a block at once by vectorized
+LDL^T solves, and a slice is kept only if each band's residual is at most
+rho = 8 eps ||T|| and the Sturm counts (negative LDL^T pivots) at
+sigma_j -/+ rho are j and j + 1; the others fall back to dstemr.  A shared
+Rayleigh-quotient polish takes the eigenvalues to machine accuracy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstemr
 
 from .grid import Grid
 
@@ -83,57 +87,141 @@ def profile_kinetic_energy(chi: np.ndarray, grid: Grid) -> np.ndarray:
     return edge / grid.hz
 
 
+# Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)
+# doubles, whatever the slice count.
+_BLOCK = 256
+_MAX_SWEEPS = 6  # warm Rayleigh-quotient sweeps before a slice falls back
+_EPS = np.finfo(float).eps
+
+
+def _ldl_pivots(D, e: float, guard):
+    """LDL^T pivots of tridiag(e, D[:, i], e), each column i of D (n, m).
+
+    Pivots below guard in magnitude become -guard; the negative ones count
+    the eigenvalues below the shift that D carries (the Sturm count).
+    """
+    piv = np.empty_like(D)
+    for k in range(len(D)):
+        p = D[k] - e * e / piv[k - 1] if k else D[0]
+        piv[k] = np.where(np.abs(p) < guard, -guard, p)
+    return piv
+
+
+def _rayleigh(A, e: float, X):
+    """Rayleigh quotients and residual norms of the unit columns of X."""
+    TX = A * X
+    TX[:-1] += e * X[1:]
+    TX[1:] += e * X[:-1]
+    sigma = np.sum(X * TX, axis=0)
+    TX -= sigma * X
+    return sigma, np.sqrt(np.sum(TX * TX, axis=0))
+
+
+def _warm(a, e: float, chi_g):
+    """Vectors (B, J, n) from the guessed modes chi_g and the certified slices."""
+    B, J, n = chi_g.shape
+    A = np.repeat(a.T, J, axis=1)  # z by (slice, band) pair
+    V = chi_g.reshape(B * J, n).T.copy()
+    V /= np.sqrt(np.sum(V * V, axis=0))
+    guard = _EPS * np.repeat(np.max(np.abs(a), axis=1) + 2.0 * abs(e), J)
+    rho = 8.0 * guard
+    sigma, r = _rayleigh(A, e, V)
+    r_prev = np.full_like(r, np.inf)
+    for _ in range(_MAX_SWEEPS):
+        # Done at rounding level: below eps ||T||, or below rho and no
+        # longer falling (short slices have their floor near eps ||T||).
+        act = np.flatnonzero(~((r <= guard) | ((r <= rho) & (4.0 * r > r_prev))))
+        if act.size == 0:
+            break
+        act = act if act.size < r.size else slice(None)
+        piv = _ldl_pivots(A[:, act] - sigma[act], e, guard[act])
+        l = e / piv
+        X = V[:, act]
+        for k in range(1, n):
+            X[k] -= l[k - 1] * X[k - 1]
+        X /= piv
+        for k in range(n - 2, -1, -1):
+            X[k] -= l[k] * X[k + 1]
+        X /= np.sqrt(np.sum(X * X, axis=0))
+        V[:, act] = X
+        r_prev[act] = r[act]
+        sigma[act], r[act] = _rayleigh(A[:, act], e, X)
+    D = np.concatenate([A - (sigma - rho), A - (sigma + rho)], axis=1)
+    below = np.sum(_ldl_pivots(D, e, np.tile(guard, 2)) < 0.0, axis=0)
+    j = np.tile(np.arange(J), B)
+    ok = (r <= rho) & (below[: B * J] == j) & (below[B * J :] == j + 1)
+    return np.ascontiguousarray(V.T).reshape(B, J, n), np.all(ok.reshape(B, J), axis=1)
+
+
+def _solve_block(W, J: int, grid: Grid, chi_g=None):
+    """Lowest J pairs (lam, chi) of the slices W (B, n), warm if chi_g is given."""
+    if not np.all(np.isfinite(W)):
+        raise ValueError("potential profile contains non-finite values")
+    if not 1 <= J <= W.shape[1]:
+        raise ValueError(f"band count {J} out of range 1..{W.shape[1]}")
+    e = -0.5 / grid.hz**2
+    a = 1.0 / grid.hz**2 + W
+    if chi_g is None:
+        V, ok = np.empty((len(a), J, a.shape[1])), np.zeros(len(a), dtype=bool)
+    else:
+        V, ok = _warm(a, e, chi_g)
+    for i in np.flatnonzero(~ok):
+        # dstemr overwrites e, its workspace too: a fresh copy on every call.
+        m, _, z, info = dstemr(a[i], np.full(a.shape[1], e), 2, 0.0, 0.0, 1, J)
+        if info != 0 or m != J:
+            raise np.linalg.LinAlgError(f"dstemr failed (info={info})")
+        V[i] = z[:, :J].T
+    TV = a[:, None, :] * V
+    TV[..., :-1] += e * V[..., 1:]
+    TV[..., 1:] += e * V[..., :-1]
+    lam = np.sum(V * TV, axis=-1) / np.sum(V * V, axis=-1)
+    if np.any(lam[:, 1:] < lam[:, :-1]):
+        order = np.argsort(lam, axis=-1, kind="stable")
+        lam = np.take_along_axis(lam, order, axis=-1)
+        V = np.take_along_axis(V, order[..., None], axis=1)
+    chi = V / np.sqrt(grid.hz * np.sum(V * V, axis=-1))[..., None]
+    first = chi[..., 0]
+    if np.any(first == 0.0):
+        first = np.take_along_axis(chi, np.argmax(chi != 0.0, axis=-1)[..., None], -1)[..., 0]
+    chi *= np.where(first > 0, 1.0, -1.0)[..., None]
+    return lam, chi
+
+
 def solve_slice(W, J: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest J eigenpairs of the slice Hamiltonian.
+    """Lowest J eigenpairs of the slice Hamiltonian (cold path).
 
     W: potential samples on the nz-1 interior z-nodes.
     Returns (lam, chi) with lam shape (J,), chi shape (J, nz-1).
     """
-    n = grid.nz - 1
     W = np.asarray(W, dtype=float)
-    if W.shape != (n,):
-        raise ValueError(f"potential profile must have {n} interior samples")
-    if not np.all(np.isfinite(W)):
-        raise ValueError("potential profile contains non-finite values")
-    if not 1 <= J <= n:
-        raise ValueError(f"band count {J} out of range 1..{n}")
-    hz = grid.hz
-    diag = 1.0 / hz**2 + W
-    off = np.full(n - 1, -0.5 / hz**2)
-    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, J - 1))
-    # Rayleigh-quotient polish: residual-squared accuracy on the eigenvalues.
-    Tv = diag[:, None] * vec
-    Tv[:-1] += off[:, None] * vec[1:]
-    Tv[1:] += off[:, None] * vec[:-1]
-    lam = np.einsum("kj,kj->j", vec, Tv) / np.einsum("kj,kj->j", vec, vec)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order]
-    chi = (vec / np.sqrt(hz * np.sum(vec * vec, axis=0))).T
-    first = chi[:, 0].copy()
-    zero = first == 0.0
-    if np.any(zero):
-        idx = np.argmax(chi != 0.0, axis=1)
-        first[zero] = chi[np.arange(J), idx][zero]
-    chi = chi * np.where(first > 0, 1.0, -1.0)[:, None]
-    return lam, chi
+    if W.shape != (grid.nz - 1,):
+        raise ValueError(f"potential profile must have {grid.nz - 1} interior samples")
+    lam, chi = _solve_block(W[None, :], J, grid)
+    return lam[0], chi[0]
 
 
-def solve_slices(W3, J: int, grid: Grid) -> SubbandSpectrum:
+def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -> SubbandSpectrum:
     """Eigensolve every lateral slice of a volume potential.
 
-    W3: (ny1, ny2, nz-1) interior-node samples.  Slices are independent;
-    results are stored by slice index, so the loop order never matters.
+    W3: (ny1, ny2, nz-1) interior-node samples.  guess, the spectrum of a
+    nearby potential on this grid (the previous outer cycle's), starts the
+    warm path if it has at least J bands.  Results are stored by slice index.
     """
     W3 = np.asarray(W3, dtype=float)
     ny1, ny2 = grid.lateral_shape
-    if W3.shape != (ny1, ny2, grid.nz - 1):
+    n = grid.nz - 1
+    if W3.shape != (ny1, ny2, n):
         raise ValueError("slice potential has wrong shape")
     lam = np.empty((ny1, ny2, J))
-    chi = np.empty((ny1, ny2, J, grid.nz - 1))
-    for i in range(ny1):
-        for k in range(ny2):
-            lam[i, k], chi[i, k] = solve_slice(W3[i, k], J, grid)
+    chi = np.empty((ny1, ny2, J, n))
+    rows = max(1, _BLOCK // ny2)
+    warm = guess is not None and guess.J >= J
+    for i in range(0, ny1, rows):
+        blk = slice(i, i + rows)
+        chi_g = guess.chi[blk, :, :J].reshape(-1, J, n) if warm else None
+        l, c = _solve_block(W3[blk].reshape(-1, n), J, grid, chi_g)
+        lam[blk] = l.reshape(-1, ny2, J)
+        chi[blk] = c.reshape(-1, ny2, J, n)
     return SubbandSpectrum(lam=lam, chi=chi)
 
 

@@ -488,8 +488,7 @@ def check_mu_bound(
 
 def check_subband_structure(state: EquilibriumState) -> CheckReport:
     """Active-band cap sqrt(3 mu)/pi + 1 and strict spectral ordering."""
-    gaps = state.mu - state.spectrum.lam
-    j_active = int(np.sum(np.max(gaps, axis=(0, 1)) > 0.0))
+    j_active = state.j_active
     bound = math.sqrt(3.0 * max(state.mu, 0.0)) / math.pi + 1.0
     min_gap = float(np.min(np.diff(state.spectrum.lam, axis=2)))
     ok = j_active < bound and min_gap > 1e-10

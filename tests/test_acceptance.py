@@ -190,6 +190,14 @@ def test_criterion_06_finite_subband_bound(big_solves):
     report(6, "finite subband bound", ok, "; ".join(details))
 
 
+def test_top_band_unoccupied(big_solves):
+    # occupation has support gap >= 0: a positive margin min_y lambda_J - mu
+    # certifies that the band budget cut off no occupied band
+    margins = {T: state.top_band_margin for T, (_, state, _, _) in big_solves.items()}
+    detail = "; ".join(f"T={T}: margin {m:.3f}" for T, m in margins.items())
+    report(6, "top computed band unoccupied", all(m > 0.0 for m in margins.values()), detail)
+
+
 def test_criterion_07_mu_bound(big_solves):
     ok = True
     details = []

@@ -38,7 +38,25 @@ class TestSolve:
         assert state["converged"] is True
         assert state["mass"] == pytest.approx(1.0, rel=1e-8)
         assert state["residual"] <= 1e-8
+        assert state["top_band_margin"] > 0.0
+        assert state["theta_min_rises"] == 0
         assert json.dumps(state, sort_keys=True, indent=2) + "\n" == raw
+
+    def test_theta_min_rises_noted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import subbandeq.cli as cli
+
+        real = cli.solve_equilibrium
+
+        def solve_with_rises(cfg):
+            state, trace = real(cfg)
+            trace.theta_min_rises = 2
+            return state, trace
+
+        monkeypatch.setattr(cli, "solve_equilibrium", solve_with_rises)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, FAST), "--out", str(out)]) == 0
+        assert "2 step(s) accepted at theta_min" in capsys.readouterr().err
+        assert json.loads((out / "state.json").read_text())["theta_min_rises"] == 2
 
     def test_csv_round_trip_doubles(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

@@ -42,7 +42,7 @@ def _patch_linear_map(monkeypatch, g, factor):
             self.energy = FakeEnergy(float(np.sum(U_in.values**2)))
         j_active = 0
 
-    monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext: FakeCycle(U))
+    monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext, guess=None: FakeCycle(U))
 
 
 class TestChooseJMax:
@@ -214,6 +214,20 @@ class TestSolveEquilibrium:
         assert all(t == 0.5 for t in trace.thetas)
         noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
         assert np.all(np.diff(trace.free_energies) <= noise)
+
+    def test_rising_steps_at_theta_min_are_counted(self, monkeypatch):
+        # U -> 1.5 U raises |U|^2 for every theta, so each step halves theta
+        # down to theta_min and is then accepted with a rising free energy
+        g = Grid(4, 4, 8)
+        _patch_linear_map(monkeypatch, g, 1.5)
+        cfg = SolverConfig(
+            M_target=1.0, grid=g, max_outer=3,
+            init_kind="supplied", init_potential=Field3D(np.ones(g.volume_shape)),
+        )
+        _, trace = solve_equilibrium(cfg)
+        assert not trace.converged
+        assert trace.theta_min_rises == 3
+        assert all(t <= cfg.theta_min for t in trace.thetas)
 
     @pytest.mark.parametrize("theta", [0.5, 0.125])
     def test_certificate_independent_of_theta(self, monkeypatch, theta):

@@ -1,14 +1,30 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subbandeq
+
 from subbandeq.grid import Grid, integrate_z
 from subbandeq.schrodinger import (
+    SubbandSpectrum,
     eigenvalue_stability_gap,
     free_mode_eigenvalue,
     profile_kinetic_energy,
     solve_slice,
     solve_slices,
 )
+
+
+def zwell_noise(grid, seed, noise=0.5):
+    """Seeded zwell-plus-noise slice potentials, shape (ny1, ny2, nz-1)."""
+    z = grid.z_nodes()[1:-1]
+    rng = np.random.default_rng(seed)
+    return 8.0 * z * (1.0 - z) + noise * rng.standard_normal(grid.lateral_shape + (grid.nz - 1,))
 
 
 def tridiagonal_apply(W, chi, grid):
@@ -149,3 +165,74 @@ class TestSolveSlices:
         full = spec.chi_closed()
         assert full.shape == (2, 2, 2, g.nz + 1)
         assert np.all(full[..., 0] == 0.0) and np.all(full[..., -1] == 0.0)
+
+
+class TestWarmStart:
+    def test_warm_agrees_with_cold(self):
+        g = Grid(24, 24, 64)
+        W = zwell_noise(g, 0)
+        perturbed = W + 0.05 * np.random.default_rng(1).standard_normal(W.shape)
+        guess = solve_slices(perturbed, 4, g)
+        cold = solve_slices(W, 4, g)
+        warm = solve_slices(W, 4, g, guess)
+        warm.validate(g)
+        assert np.max(np.abs(warm.lam - cold.lam)) <= 1e-12
+        assert np.max(np.abs(warm.chi - cold.chi)) <= 1e-12
+
+    def test_bad_guesses_fall_back_to_cold(self):
+        g = Grid(6, 5, 32)
+        W = zwell_noise(g, 2)
+        cold = solve_slices(W, 4, g)
+        near = solve_slices(W + 0.01, 6, g)
+        reversed_bands = SubbandSpectrum(near.lam[..., 3::-1], near.chi[:, :, 3::-1])
+        too_few = solve_slices(W, 3, g)
+        for guess in (reversed_bands, too_few):
+            spec = solve_slices(W, 4, g, guess)
+            assert np.array_equal(spec.lam, cold.lam)
+            assert np.array_equal(spec.chi, cold.chi)
+
+    def test_bitwise_identical_across_blas_thread_counts(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from subbandeq.grid import Grid\n"
+            "from subbandeq.schrodinger import solve_slices\n"
+            "g = Grid(24, 24, 64)\n"
+            "z = g.z_nodes()[1:-1]\n"
+            "rng = np.random.default_rng(3)\n"
+            "W = 8.0 * z * (1.0 - z) + 0.5 * rng.standard_normal((24, 24, 63))\n"
+            "guess = solve_slices(W + 0.05 * rng.standard_normal(W.shape), 4, g)\n"
+            "spec = solve_slices(W, 4, g, guess)\n"
+            "print(hashlib.sha256(spec.lam.tobytes() + spec.chi.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(subbandeq.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+                text=True, timeout=120,
+            )
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
+
+    def test_working_set_bounded_by_block(self):
+        # 1024 and 4096 slices: the memory beyond the returned arrays is
+        # that of one block, not proportional to the slice count
+        extra = []
+        for ny in (32, 64):
+            g = Grid(ny, ny, 16)
+            W = zwell_noise(g, 4)
+            guess = solve_slices(W + 0.01, 6, g)
+            tracemalloc.start()
+            try:
+                spec = solve_slices(W, 6, g, guess)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - spec.lam.nbytes - spec.chi.nbytes)
+        assert extra[1] <= 1.25 * extra[0]
