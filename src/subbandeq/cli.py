@@ -23,6 +23,8 @@ from .validation import run_validation
 from .verify import run_verification
 
 FLOAT_FMT = "%.16e"
+# Rows per formatted block: bounds the transient text at a few hundred kB.
+CSV_BLOCK_ROWS = 4096
 
 CONFIG_DEFAULTS = {
     "M_target": 1.0,
@@ -68,10 +70,7 @@ def load_config(path) -> dict:
             merged[key] = _merge_section(key, user)
         else:
             merged[key] = raw.get(key, default)
-    if "poisson_tol" in raw:  # still accepted so that older configs load
-        print("note: config key 'poisson_tol' is deprecated and ignored "
-              "(the Poisson solve is direct)", file=sys.stderr)
-    unknown = set(raw) - set(CONFIG_DEFAULTS) - {"poisson_tol"}
+    unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return merged
@@ -107,16 +106,20 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """One row per element of the equal-size array columns, in C order.
+
+    Float columns are written with FLOAT_FMT and integer columns with %d;
+    each block of CSV_BLOCK_ROWS rows is one % of the repeated line format.
+    """
+    cols = [np.ravel(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in cols) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+        for start in range(0, cols[0].size, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            block = np.column_stack([c[rows].astype(object) for c in cols])
+            fh.write(line * len(block) % tuple(block.ravel()))
 
 
 def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
@@ -135,45 +138,29 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
         },
         out / "state.json",
     )
-    y1 = grid.y1_nodes()
-    y2 = grid.y2_nodes()
-    z = grid.z_nodes()
-    rows = []
-    for i in range(grid.ny1):
-        for k in range(grid.ny2):
-            for m in range(grid.nz + 1):
-                rows.append(
-                    (
-                        float(y1[i]),
-                        float(y2[k]),
-                        float(z[m]),
-                        float(state.U.values[i, k, m]),
-                        float(state.rho.values[i, k, m]),
-                    )
-                )
-    _write_csv(out / "fields.csv", ["y1", "y2", "z", "U", "rho"], rows)
-    rows = []
-    for i in range(grid.ny1):
-        for k in range(grid.ny2):
-            for j in range(state.spectrum.J):
-                rows.append(
-                    (
-                        float(y1[i]),
-                        float(y2[k]),
-                        j + 1,
-                        float(state.spectrum.lam[i, k, j]),
-                    )
-                )
-    _write_csv(out / "spectrum.csv", ["y1", "y2", "j", "lambda"], rows)
-    _write_trace(trace, out)
-
-
-def _write_trace(trace, out: Path) -> None:
-    rows = [
-        (i + 1, trace.residuals[i], trace.mus[i], trace.free_energies[i], trace.thetas[i])
-        for i in range(trace.iterations)
-    ]
-    _write_csv(out / "trace.csv", ["iter", "residual", "mu", "F", "theta"], rows)
+    y1, y2 = grid.y1_nodes(), grid.y2_nodes()
+    _write_csv(
+        out / "fields.csv",
+        ["y1", "y2", "z", "U", "rho"],
+        *np.meshgrid(y1, y2, grid.z_nodes(), indexing="ij"),
+        state.U.values,
+        state.rho.values,
+    )
+    _write_csv(
+        out / "spectrum.csv",
+        ["y1", "y2", "j", "lambda"],
+        *np.meshgrid(y1, y2, np.arange(1, state.spectrum.J + 1), indexing="ij"),
+        state.spectrum.lam,
+    )
+    _write_csv(
+        out / "trace.csv",
+        ["iter", "residual", "mu", "F", "theta"],
+        np.arange(1, trace.iterations + 1),
+        trace.residuals,
+        trace.mus,
+        trace.free_energies,
+        trace.thetas,
+    )
 
 
 def cmd_solve(args) -> int:
@@ -227,7 +214,6 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    mus = []
     for value in args.values:
         local = json.loads(json.dumps(cfg_dict))
         if args.param == "M":
@@ -239,18 +225,12 @@ def cmd_sweep(args) -> int:
         if not trace.converged:
             print(f"sweep value {value} did not converge", file=sys.stderr)
             return 2
-        mus.append(state.mu)
-        rows.append(
-            (
-                float(value),
-                state.mu,
-                state.j_active,
-                state.energy.total_direct,
-                trace.iterations,
-            )
-        )
+        rows.append((value, state.mu, state.j_active, state.energy.total_direct, trace.iterations))
+    values, mus, j_active, F_total, iterations = map(np.array, zip(*rows))
     _write_csv(
-        out / "sweep.csv", ["value", "mu", "J_active", "F_total", "iterations"], rows
+        out / "sweep.csv",
+        ["value", "mu", "J_active", "F_total", "iterations"],
+        values, mus, j_active, F_total, iterations,
     )
     if args.param == "M":
         monotone = bool(np.all(np.diff(mus) >= 0.0))

@@ -319,19 +319,10 @@ def active_subband_count(state: EquilibriumState) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class _Cycle:
-    """One evaluation of the fixed-point map at a given potential."""
+    """One evaluation of the fixed-point map: the potential U_in and the state it produces."""
 
     U_in: Field3D
-    spectrum: SubbandSpectrum
-    mu: float
-    rho_j: np.ndarray
-    rho: Field3D
-    U_out: Field3D
-    energy: FreeEnergyBreakdown
-
-    @property
-    def j_active(self) -> int:
-        return int(np.sum(np.max(self.mu - self.spectrum.lam, axis=(0, 1)) > 0.0))
+    state: EquilibriumState
 
 
 def _evaluate_cycle(U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D, guess=None) -> _Cycle:
@@ -342,7 +333,8 @@ def _evaluate_cycle(U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D, gue
     rho_j, rho = assemble_density(spectrum, mu, cfg.model, grid)
     U_out = solve_poisson(rho, grid)
     energy = _energy_breakdown(spectrum, mu, rho_j, U_out, vext, grid, cfg.model)
-    return _Cycle(U_in, spectrum, mu, rho_j, rho, U_out, energy)
+    state = EquilibriumState(mu=mu, spectrum=spectrum, U=U_out, rho=rho, rho_j=rho_j, energy=energy)
+    return _Cycle(U_in, state)
 
 
 def _initial_potential(cfg: SolverConfig) -> Field3D:
@@ -355,21 +347,21 @@ def _initial_potential(cfg: SolverConfig) -> Field3D:
 
 def _map_residual(cyc: _Cycle, grid: Grid) -> float:
     """||G(U) - U|| / (1 + ||U||) of one cycle."""
-    return l2_norm_volume(cyc.U_out.values - cyc.U_in.values, grid) / (
+    return l2_norm_volume(cyc.state.U.values - cyc.U_in.values, grid) / (
         1.0 + l2_norm_volume(cyc.U_in.values, grid)
     )
 
 
 def fixed_point(
     U0: Field3D, cfg: SolverConfig, vext: Field3D
-) -> tuple[_Cycle, IterationTrace]:
+) -> tuple[EquilibriumState, IterationTrace]:
     """Damped fixed-point iteration of the outer cycle, started at U0.
 
     cfg.model supplies the gap profiles G, K, B (and T) that turn each
     spectrum into a mass, a density and a free energy.  Stops at the first
     cycle, the starting one included, whose map residual is at most
-    cfg.fp_tol, or after cfg.max_outer accepted steps; returns that cycle
-    and one trace row per accepted step.
+    cfg.fp_tol, or after cfg.max_outer accepted steps; returns the state
+    of that cycle and one trace row per accepted step.
     """
     grid = cfg.grid
     trace = IterationTrace()
@@ -378,14 +370,15 @@ def fixed_point(
     cyc = _evaluate_cycle(U0, J, cfg, vext)
     residual = _map_residual(cyc, grid)
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
-        J = min(choose_J_max(cyc.mu, cfg.j_margin), grid.nz - 1)
+        cur = cyc.state
+        J = min(choose_J_max(cur.mu, cfg.j_margin), grid.nz - 1)
         # Evaluation noise in F (mu bisection) sits near 1e-9
         # relative; increases below this floor are not energy climbing.
-        accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cyc.energy.total_direct))
+        accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cur.energy.total_direct))
         while True:
-            U_try = Field3D((1.0 - theta) * cyc.U_in.values + theta * cyc.U_out.values)
-            nxt = _evaluate_cycle(U_try, J, cfg, vext, cyc.spectrum)
-            if nxt.energy.total_direct <= cyc.energy.total_direct + accept_tol:
+            U_try = Field3D((1.0 - theta) * cyc.U_in.values + theta * cur.U.values)
+            nxt = _evaluate_cycle(U_try, J, cfg, vext, cur.spectrum)
+            if nxt.state.energy.total_direct <= cur.energy.total_direct + accept_tol:
                 break
             if theta <= cfg.theta_min:
                 trace.theta_min_rises += 1
@@ -393,9 +386,10 @@ def fixed_point(
             theta *= 0.5
         cyc = nxt
         residual = _map_residual(cyc, grid)
-        trace.append(residual, cyc.mu, cyc.j_active, cyc.energy.total_direct, theta)
+        new = cyc.state
+        trace.append(residual, new.mu, new.j_active, new.energy.total_direct, theta)
     trace.converged = residual <= cfg.fp_tol
-    return cyc, trace
+    return cyc.state, trace
 
 
 def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTrace]:
@@ -407,13 +401,4 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
     mass and density-assembly identities; the residual certifies
     Schrodinger-Poisson consistency.
     """
-    cyc, trace = fixed_point(_initial_potential(cfg), cfg, external_potential(cfg))
-    state = EquilibriumState(
-        mu=cyc.mu,
-        spectrum=cyc.spectrum,
-        U=cyc.U_out,
-        rho=cyc.rho,
-        rho_j=cyc.rho_j,
-        energy=cyc.energy,
-    )
-    return state, trace
+    return fixed_point(_initial_potential(cfg), cfg, external_potential(cfg))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_ABS_TOL = 1e-12
 
@@ -130,6 +129,9 @@ class OccupancyModel:
         return min(float(self.beta_prime_inv(s / self.T)), 1.0)
 
     def _quad_scalar(self, integrand, upper: float) -> float:
+        # Imported here: only this reference needs scipy.integrate, which is slow to load.
+        from scipy.integrate import quad
+
         cut = self._cutoff()
         pts = [cut] if 0.0 < cut < upper else None
         val, _ = quad(integrand, 0.0, upper, points=pts, epsabs=QUAD_ABS_TOL, limit=200)

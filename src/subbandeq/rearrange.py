@@ -25,7 +25,7 @@ import numpy as np
 from .grid import Field3D, Grid
 from .occupancy import OccupancyModel
 from .poisson import dirichlet_energy, solve_poisson
-from .schrodinger import profile_kinetic_energy
+from .schrodinger import profile_kinetic_energy, zero_extend
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,8 @@ def pair_casimir(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -> flo
 
 def pair_density(pair: AdmissiblePair, grid: Grid) -> Field3D:
     """Total density rho(x) = sum_j rho_{f_j}(y) chi_j(x)^2 on closed z-nodes."""
-    rho_j = band_densities(pair)
-    ny1, ny2, J, ni = pair.chi.shape
-    chi2 = np.zeros((ny1, ny2, J, ni + 2))
-    chi2[..., 1:-1] = pair.chi**2
-    return Field3D(np.einsum("abj,abjz->abz", rho_j, chi2))
+    chi2 = zero_extend(pair.chi**2)
+    return Field3D(np.einsum("abj,abjz->abz", band_densities(pair), chi2))
 
 
 def velocity_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
@@ -162,9 +159,7 @@ def pair_free_energy(
         + model.T * pair_casimir(pair, grid, model)
     )
     if vext is not None:
-        ny1, ny2, J, ni = pair.chi.shape
-        chi2 = np.zeros((ny1, ny2, J, ni + 2))
-        chi2[..., 1:-1] = pair.chi**2
+        chi2 = zero_extend(pair.chi**2)
         vw = vext.values * grid.z_weights()[None, None, :]
         vchi = np.einsum("abz,abjz->abj", vw, chi2)
         total += float(np.sum(vchi * band_densities(pair)) * grid.hy1 * grid.hy2)
@@ -221,11 +216,9 @@ def joint_density_through(pair: AdmissiblePair, order: np.ndarray, grid: Grid) -
     speed-dependent rearrangement leaves the density untouched.
     """
     f_perm = np.take_along_axis(pair.f, order, axis=2)
-    ny1, ny2, J, ni = pair.chi.shape
-    chi2 = np.zeros((ny1, ny2, J, ni + 2))
-    chi2[..., 1:-1] = pair.chi**2
+    chi2 = zero_extend(pair.chi**2)
     # sum over speed first: the chi^2 factor follows the same permutation
-    rho = np.zeros((ny1, ny2, ni + 2))
+    rho = np.zeros_like(chi2[:, :, 0])
     w = pair.vgrid.weights
     for v in range(pair.vgrid.n_nodes):
         chi2_perm = np.take_along_axis(chi2, order[..., v][..., None], axis=2)

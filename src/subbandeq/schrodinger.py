@@ -31,6 +31,13 @@ def free_mode_eigenvalue(j, grid: Grid):
     return out if out.ndim else float(out)
 
 
+def zero_extend(interior: np.ndarray) -> np.ndarray:
+    """Interior z-samples (last axis) on the closed z-node set, zero at z = 0 and z = 1."""
+    full = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
+    full[..., 1:-1] = interior
+    return full
+
+
 @dataclass(frozen=True)
 class SubbandSpectrum:
     """Lowest J eigenpairs on every lateral slice.
@@ -50,10 +57,7 @@ class SubbandSpectrum:
 
     def chi_closed(self) -> np.ndarray:
         """Modes on the closed z-node set, zeros prepended/appended."""
-        ny1, ny2, J, ni = self.chi.shape
-        full = np.zeros((ny1, ny2, J, ni + 2))
-        full[..., 1:-1] = self.chi
-        return full
+        return zero_extend(self.chi)
 
     def kinetic_energies(self, grid: Grid) -> np.ndarray:
         """Discrete |d chi/dz|^2 norms, shape (ny1, ny2, J)."""

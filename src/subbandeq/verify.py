@@ -334,27 +334,27 @@ def grid_consistent_base(
     """
     vgrid = speed_grid_for(state.mu, float(np.min(state.spectrum.lam[:, :, 0])))
     cfg = SolverConfig(
-        M_target=float(np.sum(state.rho_j) * grid.hy1 * grid.hy2),
+        M_target=state.mass(grid),
         model=_SpeedGridProfiles(model, vgrid),
         grid=grid,
         fp_tol=_BASE_FP_TOL,
         max_outer=_BASE_MAX_STEPS,
     )
-    cyc, trace = fixed_point(state.U, cfg, vext)
+    base, trace = fixed_point(state.U, cfg, vext)
     if not trace.converged:
         raise RuntimeError(
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
             f"in {_BASE_MAX_STEPS} steps"
         )
-    spec = cyc.spectrum
-    f = _base_occupations(model, cyc.mu - spec.lam, vgrid)
+    spec = base.spectrum
+    f = _base_occupations(model, base.mu - spec.lam, vgrid)
     pair = AdmissiblePair(f=f, chi=spec.chi, h=spec.lam.copy(), vgrid=vgrid)
     return GridBase(
         pair=pair,
-        U=cyc.U_out,
+        U=base.U,
         lam=spec.lam,
-        mu=cyc.mu,
-        F=cyc.energy.total_direct,
+        mu=base.mu,
+        F=base.energy.total_direct,
         mass=pair_mass(pair, grid),
         model=model,
         vext=vext,

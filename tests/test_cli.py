@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import subbandeq
-from subbandeq.cli import main
+from subbandeq.cli import load_config, main, solver_config
+from subbandeq.equilibrium import solve_equilibrium
 
 MINIMAL = {"M_target": 1.0}
 
@@ -24,6 +25,25 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def reference_csv(header, rows):
+    """CSV text formatted value by value: %.16e for floats, str for integers."""
+
+    def fmt(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else "%.16e" % float(v)
+
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(subbandeq.__file__).resolve().parents[1])
+    code = "import sys, subbandeq.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert res.stdout.strip() == "False"
 
 
 class TestSolve:
@@ -76,6 +96,36 @@ class TestSolve:
         mass = np.sum(rho * wz) * hy * hy
         assert mass == pytest.approx(state["mass"], rel=1e-15)
 
+    def test_csv_bytes_match_per_value_reference(self, tmp_path):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        solver_cfg = solver_config(load_config(cfg))
+        state, trace = solve_equilibrium(solver_cfg)
+        g = solver_cfg.grid
+        y1, y2, z = g.y1_nodes(), g.y2_nodes(), g.z_nodes()
+        U, rho, lam = state.U.values, state.rho.values, state.spectrum.lam
+        lateral = [(i, k) for i in range(g.ny1) for k in range(g.ny2)]
+        expected = {
+            "fields.csv": reference_csv(
+                ["y1", "y2", "z", "U", "rho"],
+                [(y1[i], y2[k], z[m], U[i, k, m], rho[i, k, m])
+                 for i, k in lateral for m in range(g.nz + 1)],
+            ),
+            "spectrum.csv": reference_csv(
+                ["y1", "y2", "j", "lambda"],
+                [(y1[i], y2[k], j + 1, lam[i, k, j])
+                 for i, k in lateral for j in range(state.spectrum.J)],
+            ),
+            "trace.csv": reference_csv(
+                ["iter", "residual", "mu", "F", "theta"],
+                [(n + 1, *row) for n, row in enumerate(
+                    zip(trace.residuals, trace.mus, trace.free_energies, trace.thetas))],
+            ),
+        }
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
     def test_nonconvergence_exit_2_with_trace(self, tmp_path):
         cfg = write_config(tmp_path, {**FAST, "max_outer": 1})
         out = tmp_path / "out"
@@ -87,18 +137,12 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
-    def test_unknown_key_exit_1(self, tmp_path):
-        cfg = write_config(tmp_path, {"M_target": 1.0, "bogus": 2})
+    @pytest.mark.parametrize(
+        "extra", [{"bogus": 2}, {"poisson_tol": 1e-10}], ids=["bogus", "poisson_tol"]
+    )
+    def test_unknown_key_exit_1(self, tmp_path, extra):
+        cfg = write_config(tmp_path, {"M_target": 1.0, **extra})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-
-    def test_deprecated_poisson_tol_ignored_with_note(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**FAST, "poisson_tol": 1e-10})
-        out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        assert "poisson_tol" in capsys.readouterr().err
-        ref = tmp_path / "ref"
-        assert main(["solve", "--config", write_config(tmp_path, FAST, "ref.json"), "--out", str(ref)]) == 0
-        assert (out / "fields.csv").read_bytes() == (ref / "fields.csv").read_bytes()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert (
@@ -193,6 +237,21 @@ class TestSweep:
         rows = np.loadtxt(lines[1:], delimiter=",")
         assert rows.shape[0] == 3
         assert np.all(np.diff(rows[:, 1]) >= 0.0)  # mu nondecreasing in M
+
+    def test_csv_bytes_match_per_value_reference(self, tmp_path):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "M",
+             "--values", "0.25,0.5"]
+        )
+        assert code == 0
+        rows = []
+        for value in (0.25, 0.5):
+            state, trace = solve_equilibrium(solver_config({**load_config(cfg), "M_target": value}))
+            rows.append((value, state.mu, state.j_active, state.energy.total_direct, trace.iterations))
+        expected = reference_csv(["value", "mu", "J_active", "F_total", "iterations"], rows)
+        assert (out / "sweep.csv").read_bytes() == expected.encode()
 
     def test_empty_values_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

@@ -31,16 +31,20 @@ def _patch_linear_map(monkeypatch, g, factor):
         def __init__(self, F):
             self.total_direct = F
 
-    class FakeCycle:
+    class FakeState:
         def __init__(self, U_in):
-            self.U_in = U_in
             self.spectrum = FakeSpectrum()
             self.mu = 1.0
             self.rho_j = np.zeros((g.ny1, g.ny2, 1))
             self.rho = Field3D(np.zeros(g.volume_shape))
-            self.U_out = Field3D(factor * U_in.values)
+            self.U = Field3D(factor * U_in.values)
             self.energy = FakeEnergy(float(np.sum(U_in.values**2)))
         j_active = 0
+
+    class FakeCycle:
+        def __init__(self, U_in):
+            self.U_in = U_in
+            self.state = FakeState(U_in)
 
     monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext, guess=None: FakeCycle(U))
 
