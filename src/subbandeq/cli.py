@@ -76,6 +76,16 @@ def load_config(path) -> dict:
     return merged
 
 
+def _integer(value, key: str) -> int:
+    """An integral config value as int; anything else is a ConfigError, never truncated."""
+    try:
+        if int(value) == float(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def solver_config(cfg: dict) -> SolverConfig:
     g = cfg["grid"]
     try:
@@ -83,9 +93,9 @@ def solver_config(cfg: dict) -> SolverConfig:
             M_target=float(cfg["M_target"]),
             model=OccupancyModel(T=float(cfg["T"]), p=float(cfg["beta_p"])),
             grid=Grid(
-                ny1=int(g["ny1"]),
-                ny2=int(g["ny2"]),
-                nz=int(g["nz"]),
+                ny1=_integer(g["ny1"], "grid.ny1"),
+                ny2=_integer(g["ny2"], "grid.ny2"),
+                nz=_integer(g["nz"], "grid.nz"),
                 L1=float(g["L1"]),
                 L2=float(g["L2"]),
             ),
@@ -93,10 +103,10 @@ def solver_config(cfg: dict) -> SolverConfig:
             vext_amplitude=float(cfg["vext"]["amplitude"]),
             theta=float(cfg["theta"]),
             fp_tol=float(cfg["fp_tol"]),
-            max_outer=int(cfg["max_outer"]),
-            j_margin=int(cfg["j_margin"]),
+            max_outer=_integer(cfg["max_outer"], "max_outer"),
+            j_margin=_integer(cfg["j_margin"], "j_margin"),
             init_kind=str(cfg["init"]["kind"]),
-            init_seed=int(cfg["init"]["seed"]),
+            init_seed=_integer(cfg["init"]["seed"], "init.seed"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -184,8 +194,8 @@ def cmd_verify(args) -> int:
     reports = run_verification(
         cfg,
         seed=args.seed,
-        n_pairs=int(v["n_pairs"]),
-        n_perturbations=int(v["n_perturbations"]),
+        n_pairs=_integer(v["n_pairs"], "verify.n_pairs"),
+        n_perturbations=_integer(v["n_perturbations"], "verify.n_perturbations"),
         include_unsorted_probe=bool(v["unsorted_probe"]),
     )
     _dump_json(

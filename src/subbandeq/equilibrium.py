@@ -63,8 +63,8 @@ class SolverConfig:
             raise ValueError("M_target must be positive")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping factor must lie in (0, 1]")
-        if self.fp_tol <= 0:
-            raise ValueError("fixed-point tolerance must be positive")
+        if not 0.0 < self.fp_tol < np.inf:
+            raise ValueError("fixed-point tolerance must be finite and positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.vext_kind not in VEXT_KINDS:

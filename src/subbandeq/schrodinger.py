@@ -4,13 +4,13 @@ On every lateral node the z-profile of the potential defines a 1D
 Hamiltonian -(1/2) d^2/dz^2 + W(z) with zero boundary values at z = 0, 1.
 Three-point differences on the interior z-nodes give a symmetric
 tridiagonal matrix T (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
-spectrum is real and simple.  Cold slices go to LAPACK's MRRR (dstemr).
-Warm slices start from the previous cycle's modes: Rayleigh-quotient
-iteration runs on all (slice, band) pairs of a block at once by vectorized
-LDL^T solves, and a slice is kept only if each band's residual is at most
-rho = 8 eps ||T|| and the Sturm counts (negative LDL^T pivots) at
-sigma_j -/+ rho are j and j + 1; the others fall back to dstemr.  A shared
-Rayleigh-quotient polish takes the eigenvalues to machine accuracy.
+spectrum is real and simple.  Rayleigh-quotient iteration runs on all
+(slice, band) pairs of a block at once by vectorized LDL^T solves; a slice
+is kept if each band's residual is at most rho = 8 eps ||T|| and the Sturm
+counts (negative LDL^T pivots) at sigma_j -/+ rho are j and j + 1.  The guess
+is the previous cycle's modes, with sine modes (exact for W = 0) for missing
+bands and for slices without or failing a guess; dense eigh is the last
+resort.  A shared Rayleigh polish takes the eigenvalues to machine accuracy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstemr
 
 from .grid import Grid
 
@@ -29,6 +28,13 @@ def free_mode_eigenvalue(j, grid: Grid):
     j = np.asarray(j, dtype=float)
     out = (1.0 - np.cos(np.pi * j * hz)) / hz**2
     return out if out.ndim else float(out)
+
+
+def sine_modes(J: int, grid: Grid) -> np.ndarray:
+    """First J discrete sine modes; exactly orthonormal on the interior nodes."""
+    z = grid.z_nodes()[1:-1]
+    j = np.arange(1, J + 1)[:, None]
+    return np.sqrt(2.0) * np.sin(np.pi * j * z[None, :])
 
 
 def zero_extend(interior: np.ndarray) -> np.ndarray:
@@ -158,23 +164,24 @@ def _warm(a, e: float, chi_g):
 
 
 def _solve_block(W, J: int, grid: Grid, chi_g=None):
-    """Lowest J pairs (lam, chi) of the slices W (B, n), warm if chi_g is given."""
+    """Lowest J pairs (lam, chi) of the slices W (B, n); chi_g (B, <= J, n) guesses the modes."""
     if not np.all(np.isfinite(W)):
         raise ValueError("potential profile contains non-finite values")
     if not 1 <= J <= W.shape[1]:
         raise ValueError(f"band count {J} out of range 1..{W.shape[1]}")
     e = -0.5 / grid.hz**2
     a = 1.0 / grid.hz**2 + W
-    if chi_g is None:
-        V, ok = np.empty((len(a), J, a.shape[1])), np.zeros(len(a), dtype=bool)
-    else:
-        V, ok = _warm(a, e, chi_g)
+    B, n = a.shape
+    sine = np.broadcast_to(sine_modes(J, grid), (B, J, n))
+    V, ok = np.empty((B, J, n)), np.zeros(B, dtype=bool)
+    if chi_g is not None:
+        V, ok = _warm(a, e, np.concatenate([chi_g, sine[:, chi_g.shape[1] :]], axis=1))
+    cold = np.flatnonzero(~ok)
+    if cold.size:
+        V[cold], ok[cold] = _warm(a[cold], e, sine[cold])
     for i in np.flatnonzero(~ok):
-        # dstemr overwrites e, its workspace too: a fresh copy on every call.
-        m, _, z, info = dstemr(a[i], np.full(a.shape[1], e), 2, 0.0, 0.0, 1, J)
-        if info != 0 or m != J:
-            raise np.linalg.LinAlgError(f"dstemr failed (info={info})")
-        V[i] = z[:, :J].T
+        # Last resort, O(n^3) per slice: the dense symmetric eigensolver.
+        V[i] = np.linalg.eigh(np.diag(a[i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1)))[1][:, :J].T
     TV = a[:, None, :] * V
     TV[..., :-1] += e * V[..., 1:]
     TV[..., 1:] += e * V[..., :-1]
@@ -192,7 +199,7 @@ def _solve_block(W, J: int, grid: Grid, chi_g=None):
 
 
 def solve_slice(W, J: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest J eigenpairs of the slice Hamiltonian (cold path).
+    """Lowest J eigenpairs of the slice Hamiltonian, from the sine modes.
 
     W: potential samples on the nz-1 interior z-nodes.
     Returns (lam, chi) with lam shape (J,), chi shape (J, nz-1).
@@ -209,7 +216,8 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
 
     W3: (ny1, ny2, nz-1) interior-node samples.  guess, the spectrum of a
     nearby potential on this grid (the previous outer cycle's), starts the
-    warm path if it has at least J bands.  Results are stored by slice index.
+    iteration; sine modes stand in for bands it lacks.  Results are stored
+    by slice index.
     """
     W3 = np.asarray(W3, dtype=float)
     ny1, ny2 = grid.lateral_shape
@@ -219,10 +227,9 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
     lam = np.empty((ny1, ny2, J))
     chi = np.empty((ny1, ny2, J, n))
     rows = max(1, _BLOCK // ny2)
-    warm = guess is not None and guess.J >= J
     for i in range(0, ny1, rows):
         blk = slice(i, i + rows)
-        chi_g = guess.chi[blk, :, :J].reshape(-1, J, n) if warm else None
+        chi_g = None if guess is None else guess.chi[blk, :, :J].reshape(-1, min(J, guess.J), n)
         l, c = _solve_block(W3[blk].reshape(-1, n), J, grid, chi_g)
         lam[blk] = l.reshape(-1, ny2, J)
         chi[blk] = c.reshape(-1, ny2, J, n)

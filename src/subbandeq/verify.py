@@ -52,7 +52,7 @@ from .rearrange import (
     rearrange_occupation_decreasing,
     velocity_kinetic,
 )
-from .schrodinger import profile_kinetic_energy, solve_slices  # noqa: F401
+from .schrodinger import profile_kinetic_energy, sine_modes, solve_slices  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,6 @@ def _ratio(lhs: float, rhs: float) -> float:
 # ---- seeded pair generation ---------------------------------------------------
 
 
-def _sine_modes(J: int, grid: Grid) -> np.ndarray:
-    """First J discrete sine modes; exactly orthonormal on the interior nodes."""
-    z = grid.z_nodes()[1:-1]
-    j = np.arange(1, J + 1)[:, None]
-    return math.sqrt(2.0) * np.sin(np.pi * j * z[None, :])
-
-
 def random_test_pair(
     grid: Grid,
     J: int,
@@ -108,7 +101,7 @@ def random_test_pair(
     """
     rng = np.random.default_rng(seed)
     ny1, ny2 = grid.lateral_shape
-    base = _sine_modes(J, grid)
+    base = sine_modes(J, grid)
     chi = np.empty((ny1, ny2, J, grid.nz - 1))
     for i in range(ny1):
         for k in range(ny2):

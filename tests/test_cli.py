@@ -37,13 +37,30 @@ def reference_csv(header, rows):
     return "".join(line + "\n" for line in lines)
 
 
-def test_import_does_not_load_scipy_integrate():
+def run_python(code):
     src = str(Path(subbandeq.__file__).resolve().parents[1])
-    code = "import sys, subbandeq.cli; print('scipy.integrate' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+
+
+def test_import_does_not_load_scipy():
+    res = run_python("import sys, subbandeq.cli; print('scipy' in sys.modules)")
     assert res.stdout.strip() == "False"
+
+
+def test_runtime_without_scipy(tmp_path):
+    # None in sys.modules makes every "import scipy..." raise ImportError.
+    cfg = write_config(tmp_path, {**FAST, "verify": {"n_pairs": 2, "n_perturbations": 2}})
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from subbandeq.cli import main\n"
+        "runs = (['solve'], ['sweep', '--param', 'M', '--values', '0.5,1'], ['verify'])\n"
+        f"print([main(argv + ['--config', {cfg!r}, '--out', {out!r}]) for argv in runs])\n"
+    )
+    assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 class TestSolve:
@@ -143,6 +160,27 @@ class TestSolve:
     def test_unknown_key_exit_1(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"M_target": 1.0, **extra})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("extra", [{"fp_tol": float("inf")}, {"fp_tol": float("nan")}],
+                             ids=["inf", "nan"])
+    def test_nonfinite_fp_tol_exit_1(self, tmp_path, extra):
+        cfg = write_config(tmp_path, {**FAST, **extra})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve", {"grid": {"ny1": 6, "ny2": 6, "nz": 16.9}}),
+            ("solve", {"max_outer": 2.7}),
+            ("verify", {"verify": {"n_pairs": 1.5}}),
+        ],
+        ids=["nz", "max_outer", "n_pairs"],
+    )
+    def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, {**FAST, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "state.json").exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert (

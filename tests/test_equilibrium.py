@@ -341,3 +341,6 @@ class TestExternalPotential:
             SolverConfig(vext_kind="nope")
         with pytest.raises(ValueError):
             SolverConfig(init_kind="supplied")
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(fp_tol=tol)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import subbandeq
 from subbandeq.grid import Grid, integrate_z
 from subbandeq.schrodinger import (
     SubbandSpectrum,
+    _warm,
     eigenvalue_stability_gap,
     free_mode_eigenvalue,
     profile_kinetic_energy,
     solve_slice,
+    sine_modes,
     solve_slices,
 )
 
@@ -25,6 +28,13 @@ def zwell_noise(grid, seed, noise=0.5):
     z = grid.z_nodes()[1:-1]
     rng = np.random.default_rng(seed)
     return 8.0 * z * (1.0 - z) + noise * rng.standard_normal(grid.lateral_shape + (grid.nz - 1,))
+
+
+def double_well(grid):
+    """Two deep, narrow Gaussian wells on every slice: the sine modes are a poor guess."""
+    z = grid.z_nodes()[1:-1]
+    prof = -4000.0 * sum(np.exp(-0.5 * ((z - c) / 0.02) ** 2) for c in (0.15, 0.8))
+    return np.broadcast_to(prof, grid.lateral_shape + prof.shape).copy()
 
 
 def tridiagonal_apply(W, chi, grid):
@@ -185,11 +195,34 @@ class TestWarmStart:
         cold = solve_slices(W, 4, g)
         near = solve_slices(W + 0.01, 6, g)
         reversed_bands = SubbandSpectrum(near.lam[..., 3::-1], near.chi[:, :, 3::-1])
-        too_few = solve_slices(W, 3, g)
-        for guess in (reversed_bands, too_few):
-            spec = solve_slices(W, 4, g, guess)
-            assert np.array_equal(spec.lam, cold.lam)
-            assert np.array_equal(spec.chi, cold.chi)
+        spec = solve_slices(W, 4, g, reversed_bands)
+        assert np.array_equal(spec.lam, cold.lam)
+        assert np.array_equal(spec.chi, cold.chi)
+
+    def test_short_guess_padded_with_sine_modes(self):
+        g = Grid(6, 5, 32)
+        W = zwell_noise(g, 2)
+        cold = solve_slices(W, 4, g)
+        spec = solve_slices(W, 4, g, solve_slices(W, 3, g))
+        spec.validate(g)
+        assert np.max(np.abs(spec.lam - cold.lam)) <= 1e-12
+        assert np.max(np.abs(spec.chi - cold.chi)) <= 1e-12
+
+    def test_last_resort_matches_reference(self):
+        from scipy.linalg import eigh_tridiagonal
+
+        g = Grid(4, 4, 96)
+        W = double_well(g)
+        n, e = g.nz - 1, -0.5 / g.hz**2
+        a = 1.0 / g.hz**2 + W.reshape(-1, n)
+        _, ok = _warm(a, e, np.broadcast_to(sine_modes(6, g), (len(a), 6, n)))
+        assert not np.any(ok)  # every slice reaches the dense eigensolver
+        spec = solve_slices(W, 6, g)
+        spec.validate(g)
+        for i, lam in enumerate(spec.lam.reshape(-1, 6)):
+            ref = eigh_tridiagonal(a[i], np.full(n - 1, e), eigvals_only=True,
+                                   select="i", select_range=(0, 5))
+            assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_bitwise_identical_across_blas_thread_counts(self):
         script = (
@@ -202,6 +235,10 @@ class TestWarmStart:
             "W = 8.0 * z * (1.0 - z) + 0.5 * rng.standard_normal((24, 24, 63))\n"
             "guess = solve_slices(W + 0.05 * rng.standard_normal(W.shape), 4, g)\n"
             "spec = solve_slices(W, 4, g, guess)\n"
+            "print(hashlib.sha256(spec.lam.tobytes() + spec.chi.tobytes()).hexdigest())\n"
+            + inspect.getsource(double_well)
+            + "g = Grid(4, 4, 96)\n"  # every slice reaches the last resort
+            "spec = solve_slices(double_well(g), 6, g)\n"
             "print(hashlib.sha256(spec.lam.tobytes() + spec.chi.tobytes()).hexdigest())\n"
         )
         src = str(Path(subbandeq.__file__).resolve().parents[1])
