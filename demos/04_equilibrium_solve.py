@@ -1,6 +1,6 @@
 """Full self-consistent solve on the unit slab with a z-confinement barrier.
 
-The damped outer iteration alternates slice eigensolves, a chemical
+The Anderson-accelerated outer iteration alternates slice eigensolves, a chemical
 potential solve for the mass constraint, density assembly and a Poisson
 solve.  The run below prints the iteration trace, the converged free-energy
 breakdown evaluated by both routes, and the subband structure.
@@ -27,7 +27,7 @@ cfg = SolverConfig(
 )
 state, trace = solve_equilibrium(cfg)
 
-print("Outer iteration trace (damped fixed point):")
+print("Outer iteration trace (Anderson-accelerated fixed point):")
 print("  it   residual      mu          F_total        theta")
 for i in range(trace.iterations):
     print(

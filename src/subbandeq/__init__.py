@@ -1,10 +1,10 @@
 """Self-consistent kinetic/quantum subband equilibria on a thin slab.
 
 The library couples a per-slice confined eigenproblem, a mass-constrained
-occupation law, and a mixed-boundary Poisson solve into a damped
-fixed-point iteration, and ships executable checks of the structural
-properties of the resulting equilibria (finite band count, monotone
-spectrum, chemical-potential bound, uniqueness of the potential,
+occupation law, and a mixed-boundary Poisson solve into an
+Anderson-accelerated fixed-point iteration, and ships executable checks of
+the structural properties of the resulting equilibria (finite band count,
+monotone spectrum, chemical-potential bound, uniqueness of the potential,
 free-energy coercivity and the stability gap).
 """
 

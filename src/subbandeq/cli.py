@@ -145,6 +145,7 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
             "mass": state.mass(grid),
             "top_band_margin": state.top_band_margin,
             "theta_min_rises": trace.theta_min_rises,
+            "anderson_rejections": trace.anderson_rejections,
         },
         out / "state.json",
     )

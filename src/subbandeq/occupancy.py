@@ -24,6 +24,7 @@ tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,14 @@ def _lambda_array(spectrum) -> np.ndarray:
     return lam
 
 MU_REL_TOL = 1e-10
+# ITP truncation kappa1 * width^2 / (b - lo), on the scale of the offset from
+# the spectral bottom over which the mass curves, and the halvings by which
+# ITP's bracket may lag bisection's.
+_ITP_KAPPA1 = 0.01
+_ITP_N0 = 1
+# Cap on the factor by which the first secant step multiplies the offset from
+# the spectral bottom: a far overshoot would cost ITP a step per halving of it.
+_SECANT_GROWTH = 16.0
 
 
 def subband_mass(mu: float, spectrum, grid, model: OccupancyModel) -> float:
@@ -185,45 +194,75 @@ def solve_mu(
     grid,
     model: OccupancyModel,
     rel_tol: float = MU_REL_TOL,
+    mu_guess: float | None = None,
 ) -> float:
     """Invert the mass function: mu with |mass(mu) - M| <= rel_tol * M.
 
-    Brackets from below at the spectral bottom, doubles the upper offset
-    until the mass exceeds M, then bisects.  The mass function is
-    continuous and nondecreasing, so this always lands.
+    The mass is zero at the spectral bottom lo and continuous and
+    nondecreasing above it.  The first trial is mu_guess (the previous
+    cycle's mu) if it lies above lo, else lo + 1; the second is the secant
+    through (lo, 0) and the first, which lands on the far side of the root
+    whenever the mass is convex in mu (as the closed-form profiles make
+    it).  Doubling the offset from lo finds an upper end otherwise.  ITP
+    steps (Oliveira & Takahashi, ACM TOMS 47, 2020) then shrink the bracket:
+    secant-fast on a smooth mass, and on any continuous one never more than
+    _ITP_N0 + 1 halvings behind bisection.
     """
     if not M > 0:
         raise ValueError("target mass must be positive")
     lam = _lambda_array(spectrum)
     lo = float(np.min(lam[:, :, 0]))
-    offset = 1.0
-    hi = lo + offset
-    for _ in range(200):
-        if subband_mass(hi, spectrum, grid, model) >= M:
+    # Mass evaluations sum ~J * area/h^2 rounded terms of size ~eps * |mu|;
+    # below that absolute noise the relative target is not representable.
+    noise = 16.0 * np.pi * grid.lateral_area() * lam.shape[2] * np.finfo(float).eps
+
+    def excess(mu):
+        return subband_mass(mu, spectrum, grid, model) - M
+
+    def hit(mu, e):
+        return abs(e) <= max(rel_tol * M, noise * max(1.0, abs(mu)))
+
+    a, ea, b, eb = lo, -M, None, None
+    x = float(mu_guess) if mu_guess is not None and mu_guess > lo else lo + 1.0
+    for k in range(200):
+        ex = excess(x)
+        if hit(x, ex):
+            return x
+        if ex < 0.0:
+            a, ea = x, ex
+        else:
+            b, eb = x, ex
+        if k and b is not None:
             break
-        offset *= 2.0
-        hi = lo + offset
+        if k == 0 and ex > -M:
+            growth = min(M / (M + ex), _SECANT_GROWTH)  # secant through (lo, 0)
+        else:
+            growth = 2.0
+        x = lo + (x - lo) * growth
     else:
         raise RuntimeError("failed to bracket the chemical potential in 200 doublings")
-    # Mass evaluations sum ~J * area/h^2 rounded terms of size ~eps * |lambda|;
-    # below that absolute noise the relative target is not representable.
-    noise = (
-        2.0 * np.pi * grid.lateral_area() * lam.shape[2]
-        * np.finfo(float).eps * max(1.0, abs(hi))
-    )
-    tol = max(rel_tol * M, 8.0 * noise)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        m = subband_mass(mid, spectrum, grid, model)
-        if abs(m - M) <= tol:
-            return mid
-        if m < M:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
+    # x floor: about one ulp; below it the bracket cannot shrink.
+    tiny = np.finfo(float).eps * max(1.0, abs(a), abs(b))
+    n_max = max(0, math.ceil(math.log2((b - a) / (2.0 * tiny)))) + _ITP_N0
+    kappa1 = _ITP_KAPPA1 / (b - lo)
+    for j in range(n_max):
+        if b - a <= 2.0 * tiny:
             break
-    mid = 0.5 * (lo + hi)
-    if abs(subband_mass(mid, spectrum, grid, model) - M) <= tol:
-        return mid
-    raise RuntimeError("bisection for the chemical potential stalled before tolerance")
+        half = 0.5 * (a + b)
+        radius = tiny * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        delta = kappa1 * (b - a) ** 2
+        x_f = (b * ea - a * eb) / (ea - eb)
+        sigma = math.copysign(1.0, half - x_f)
+        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+        x = x_t if abs(x_t - half) <= radius else half - sigma * radius
+        ex = excess(x)
+        if hit(x, ex):
+            return x
+        if ex < 0.0:
+            a, ea = x, ex
+        else:
+            b, eb = x, ex
+    x = 0.5 * (a + b)
+    if hit(x, excess(x)):
+        return x
+    raise RuntimeError("chemical-potential solve stalled before tolerance")

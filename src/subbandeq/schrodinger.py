@@ -156,10 +156,11 @@ def _warm(a, e: float, chi_g):
         V[:, act] = X
         r_prev[act] = r[act]
         sigma[act], r[act] = _rayleigh(A[:, act], e, X)
-    D = np.concatenate([A - (sigma - rho), A - (sigma + rho)], axis=1)
-    below = np.sum(_ldl_pivots(D, e, np.tile(guard, 2)) < 0.0, axis=0)
+    ok = r <= rho
     j = np.tile(np.arange(J), B)
-    ok = (r <= rho) & (below[: B * J] == j) & (below[B * J :] == j + 1)
+    # One shift at a time: the pivots of both would double the working set.
+    for shift, count in ((-rho, j), (rho, j + 1)):
+        ok &= np.sum(_ldl_pivots(A - (sigma + shift), e, guard) < 0.0, axis=0) == count
     return np.ascontiguousarray(V.T).reshape(B, J, n), np.all(ok.reshape(B, J), axis=1)
 
 

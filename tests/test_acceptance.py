@@ -19,7 +19,8 @@ from subbandeq.equilibrium import (
     solve_equilibrium,
 )
 from subbandeq.grid import Grid
-from subbandeq.occupancy import OccupancyModel, subband_mass
+import subbandeq.occupancy as occupancy
+from subbandeq.occupancy import OccupancyModel, solve_mu, subband_mass
 from subbandeq.poisson import dirichlet_energy, potential_pairing, solve_poisson
 from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
 from subbandeq.schrodinger import free_mode_eigenvalue, solve_slice
@@ -175,6 +176,31 @@ def test_criterion_05_equilibrium_convergence(big_solves):
             f"wall={wall:.0f}s, monotone={monotone}"
         )
     report(5, "equilibrium convergence", ok, "; ".join(details))
+
+
+def test_acceptance_solves_take_few_iterations(big_solves):
+    # Anderson mixing: the damped loop took 21 steps on each of these
+    iterations = {T: trace.iterations for T, (_, _, trace, _) in big_solves.items()}
+    assert all(n <= 10 for n in iterations.values()), iterations
+
+
+def test_mu_solve_mass_evaluations_on_acceptance_spectra(big_solves, monkeypatch):
+    # bisection took about 35 mass evaluations per mu solve on these spectra
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return subband_mass(*args, **kwargs)
+
+    monkeypatch.setattr(occupancy, "subband_mass", counted)
+    for cfg, state, _, _ in big_solves.values():
+        grid, model, M = cfg.grid, cfg.model, cfg.M_target
+        for guess in (None, state.mu + 1e-6, state.mu - 1e-3, state.mu + 0.5, state.mu - 1.0):
+            calls.clear()
+            mu = solve_mu(M, state.spectrum, grid, model, mu_guess=guess)
+            assert len(calls) <= 12, (model.T, guess, len(calls))
+            mass = subband_mass(mu, state.spectrum, grid, model)
+            assert abs(mass - M) <= occupancy.MU_REL_TOL * M
 
 
 def test_criterion_06_finite_subband_bound(big_solves):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subbandeq
 from subbandeq.equilibrium import (
     SolverConfig,
     active_subband_count,
@@ -20,8 +26,11 @@ def free_spectrum(grid, J):
     return solve_slices(np.zeros((grid.ny1, grid.ny2, grid.nz - 1)), J, grid)
 
 
-def _patch_linear_map(monkeypatch, g, factor):
-    """Replace the outer cycle by U -> factor * U with free energy |U|^2."""
+def _patch_map(monkeypatch, g, G, F, log=None):
+    """Replace the outer cycle by U -> G(U) with free energy F(U) (arrays in, float out).
+
+    log, if given, receives (U_in, F) of every evaluation.
+    """
     import subbandeq.equilibrium as eq
 
     class FakeSpectrum:
@@ -37,8 +46,10 @@ def _patch_linear_map(monkeypatch, g, factor):
             self.mu = 1.0
             self.rho_j = np.zeros((g.ny1, g.ny2, 1))
             self.rho = Field3D(np.zeros(g.volume_shape))
-            self.U = Field3D(factor * U_in.values)
-            self.energy = FakeEnergy(float(np.sum(U_in.values**2)))
+            self.U = Field3D(G(U_in.values))
+            self.energy = FakeEnergy(F(U_in.values))
+            if log is not None:
+                log.append((U_in.values.copy(), self.energy.total_direct))
         j_active = 0
 
     class FakeCycle:
@@ -47,6 +58,11 @@ def _patch_linear_map(monkeypatch, g, factor):
             self.state = FakeState(U_in)
 
     monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext, guess=None: FakeCycle(U))
+
+
+def _patch_linear_map(monkeypatch, g, factor):
+    """Replace the outer cycle by U -> factor * U with free energy |U|^2."""
+    _patch_map(monkeypatch, g, lambda U: factor * U, lambda U: float(np.sum(U**2)))
 
 
 class TestChooseJMax:
@@ -192,6 +208,40 @@ class TestSolveEquilibrium:
         assert np.array_equal(s1.U.values, s2.U.values)
         assert s1.mu == s2.mu
 
+    def test_full_solve_bitwise_identical_across_blas_thread_counts(self):
+        # the acceptance grid is large enough for BLAS to split its work,
+        # so this guards every reduction of the loop, the Anderson Gram
+        # products included
+        script = (
+            "import hashlib, numpy as np\n"
+            "from subbandeq.equilibrium import SolverConfig, solve_equilibrium\n"
+            "from subbandeq.grid import Grid\n"
+            "from subbandeq.occupancy import OccupancyModel\n"
+            "cfg = SolverConfig(M_target=1.0, model=OccupancyModel(T=0.2), grid=Grid(24, 24, 64),\n"
+            "                   vext_kind='zwell', vext_amplitude=8.0)\n"
+            "state, trace = solve_equilibrium(cfg)\n"
+            "rows = np.array([trace.residuals, trace.mus, trace.free_energies, trace.thetas])\n"
+            "h = hashlib.sha256(np.float64(state.mu).tobytes() + state.U.values.tobytes())\n"
+            "h.update(rows.tobytes())\n"
+            "print(trace.converged, trace.iterations, h.hexdigest())\n"
+        )
+        src = str(Path(subbandeq.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
+                text=True, timeout=300,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].startswith("True ")
+        assert outputs[0] == outputs[1]
+
     def test_nonconvergence_returns_trace(self):
         cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), max_outer=2, fp_tol=1e-14)
         state, trace = solve_equilibrium(cfg)
@@ -220,10 +270,12 @@ class TestSolveEquilibrium:
         assert np.all(np.diff(trace.free_energies) <= noise)
 
     def test_rising_steps_at_theta_min_are_counted(self, monkeypatch):
-        # U -> 1.5 U raises |U|^2 for every theta, so each step halves theta
-        # down to theta_min and is then accepted with a rising free energy
+        # U -> U / 2 with free energy -|U|^2: every trial shrinks |U|, so
+        # every trial raises F.  The accelerated trial (exact for a linear
+        # map) gives way to the damped step, which halves theta down to
+        # theta_min and is then accepted with a rising free energy.
         g = Grid(4, 4, 8)
-        _patch_linear_map(monkeypatch, g, 1.5)
+        _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: -float(np.sum(U**2)))
         cfg = SolverConfig(
             M_target=1.0, grid=g, max_outer=3,
             init_kind="supplied", init_potential=Field3D(np.ones(g.volume_shape)),
@@ -231,7 +283,40 @@ class TestSolveEquilibrium:
         _, trace = solve_equilibrium(cfg)
         assert not trace.converged
         assert trace.theta_min_rises == 3
+        assert trace.anderson_rejections == 2  # no history before the first step
         assert all(t <= cfg.theta_min for t in trace.thetas)
+
+    def test_rejected_acceleration_falls_back_to_damped_step(self, monkeypatch):
+        # U -> U - tanh(U) from U = 3: the residual is nearly flat there, so
+        # the secant-like accelerated trial overshoots far past the fixed
+        # point 0 and raises F = |U|^2, while the damped step lowers it
+        import subbandeq.equilibrium as eq
+
+        g = Grid(4, 4, 8)
+        log = []
+        _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: float(np.sum(U**2)), log)
+        cfg = SolverConfig(
+            M_target=1.0, grid=g, theta=0.5, fp_tol=1e-10, max_outer=100,
+            init_kind="supplied", init_potential=Field3D(np.full(g.volume_shape, 3.0)),
+        )
+        _, trace = eq.solve_equilibrium(cfg)
+        assert trace.converged
+        assert trace.anderson_rejections >= 1
+        # replay the log: after each rejected trial the next one is the
+        # plain damped step from the last accepted iterate
+        (U_cur, F_cur), rejected = log[0], 0
+        for (U, F), (U_next, _) in zip(log[1:], log[2:] + [(None, None)]):
+            if F > F_cur + eq.ENERGY_NOISE_REL * (1.0 + abs(F_cur)):
+                rejected += 1
+                damped = 0.5 * U_cur + 0.5 * (U_cur - np.tanh(U_cur))
+                assert np.array_equal(U_next, damped)
+            else:
+                U_cur, F_cur = U, F
+        assert rejected == trace.anderson_rejections
+        assert trace.iterations == len(log) - 1 - rejected
+        noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
+        assert np.all(np.diff(trace.free_energies) <= noise)
+        assert all(t == 0.5 for t in trace.thetas)
 
     @pytest.mark.parametrize("theta", [0.5, 0.125])
     def test_certificate_independent_of_theta(self, monkeypatch, theta):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import subbandeq.occupancy as occupancy
 from subbandeq.grid import Grid
 from subbandeq.occupancy import (
     OccupancyModel,
@@ -175,6 +176,62 @@ class TestSolveMu:
         bottom = float(np.min(lam[:, :, 0]))
         mu = solve_mu(1e-9, spec_like, g, model)
         assert bottom < mu < bottom + 1e-3
+
+    def test_step_like_mass_costs_at_most_bisection_plus_a_constant(self, monkeypatch):
+        # one flat band whose profile jumps from 0 to 1 across a window of
+        # width w at gap c: secant steps gain nothing on the flat parts, and
+        # ITP must then not fall behind bisection by more than a constant
+        g = Grid(6, 6, 16)
+        lo = 3.0
+        spec = flat_spectrum(g, [lo])
+
+        class Step:
+            T = 0.0
+
+            def __init__(self, c, w):
+                self.c, self.w = c, w
+
+            def profile_g(self, a):
+                a = np.asarray(a, dtype=float)
+                return np.where(a > 0.0, 0.5 * (1.0 + np.tanh((a - self.c) / self.w)), 0.0)
+
+        def bisection_count(M, model):
+            # the doubling bracket and bisection this solver replaced
+            mass = lambda mu: subband_mass(mu, spec, g, model)
+            tol = occupancy.MU_REL_TOL * M
+            hi, n = lo + 1.0, 1
+            while mass(hi) < M:
+                hi, n = lo + 2.0 * (hi - lo), n + 1
+            a, b = lo, hi
+            while True:
+                mid, n = 0.5 * (a + b), n + 1
+                m = mass(mid)
+                if abs(m - M) <= tol:
+                    return n
+                a, b = (mid, b) if m < M else (a, mid)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return subband_mass(*args, **kwargs)
+
+        ours, theirs = 0, 0
+        for c in (0.3, 1.7, 6.1, 13.3):
+            for w in (1e-3 * c, 1e-2 * c, 1e-1 * c):
+                for frac in (0.2, 0.5, 0.8):
+                    model = Step(c, w)
+                    M = 2.0 * np.pi * g.lateral_area() * frac
+                    n_bisect = bisection_count(M, model)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(occupancy, "subband_mass", counted)
+                        calls.clear()
+                        mu = solve_mu(M, spec, g, model)
+                    assert abs(subband_mass(mu, spec, g, model) - M) <= occupancy.MU_REL_TOL * M
+                    # two bracketing trials, ITP's lag of N0 + 1 halvings, the last midpoint
+                    assert len(calls) <= n_bisect + occupancy._ITP_N0 + 4, (c, w, frac)
+                    ours, theirs = ours + len(calls), theirs + n_bisect
+        assert ours < theirs
 
     def test_errors(self):
         g = Grid(6, 6, 16)
