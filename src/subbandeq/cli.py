@@ -37,7 +37,7 @@ CONFIG_DEFAULTS = {
     "max_outer": 300,
     "j_margin": 2,
     "init": {"kind": "zero", "seed": 0},
-    "verify": {"n_pairs": 10, "n_perturbations": 12, "unsorted_probe": False},
+    "verify": {"n_pairs": 10, "n_perturbations": 12},
 }
 
 
@@ -189,16 +189,13 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg_dict = load_config(args.config)
     cfg = solver_config(cfg_dict)
-    v = cfg_dict["verify"]
+    counts = {key: _integer(val, f"verify.{key}") for key, val in cfg_dict["verify"].items()}
+    for key, n in counts.items():
+        if n < 1:
+            raise ConfigError(f"verify.{key} must be at least 1, got {n}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = run_verification(
-        cfg,
-        seed=args.seed,
-        n_pairs=_integer(v["n_pairs"], "verify.n_pairs"),
-        n_perturbations=_integer(v["n_perturbations"], "verify.n_perturbations"),
-        include_unsorted_probe=bool(v["unsorted_probe"]),
-    )
+    reports = run_verification(cfg, seed=args.seed, **counts)
     _dump_json(
         {"seed": args.seed, "checks": [r.as_dict() for r in reports]},
         out / "verify_report.json",

@@ -34,7 +34,13 @@ import numpy as np
 from .grid import Field3D, Grid, l2_norm_volume
 from .occupancy import OccupancyModel, solve_mu
 from .poisson import dirichlet_energy, solve_poisson
-from .schrodinger import SubbandSpectrum, solve_slices
+from .schrodinger import (
+    SubbandSpectrum,
+    band_sum_density,
+    confined_kinetic,
+    external_pairing,
+    solve_slices,
+)
 
 VEXT_KINDS = ("zero", "zwell", "bump")
 INIT_KINDS = ("zero", "random", "supplied")
@@ -71,8 +77,8 @@ class SolverConfig:
     theta_min: float = 1e-3
 
     def __post_init__(self):
-        if not self.M_target > 0:
-            raise ValueError("M_target must be positive")
+        if not 0.0 < self.M_target < np.inf:
+            raise ValueError("M_target must be finite and positive")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping factor must lie in (0, 1]")
         if not 0.0 < self.fp_tol < np.inf:
@@ -140,9 +146,7 @@ def assemble_density(
     if spectrum.lam.shape[:2] != grid.lateral_shape:
         raise ValueError("spectrum does not match grid")
     rho_j = 2.0 * np.pi * model.profile_g(mu - spectrum.lam)
-    chi2 = spectrum.chi_closed() ** 2
-    rho = np.einsum("abj,abjz->abz", rho_j, chi2)
-    return rho_j, Field3D(rho)
+    return rho_j, Field3D(band_sum_density(rho_j, spectrum.chi))
 
 
 @dataclass(frozen=True)
@@ -297,23 +301,13 @@ def make_state(
 def _energy_breakdown(spectrum, mu, rho_j, U, vext, grid, model):
     area_w = grid.hy1 * grid.hy2
     gap = mu - spectrum.lam
-    kinetic_v = float(2.0 * np.pi * np.sum(model.profile_k(gap)) * area_w)
-    band = float(np.sum(spectrum.lam * rho_j) * area_w)
-    casimir = float(
-        model.T * 2.0 * np.pi * np.sum(model.profile_b(gap)) * area_w
-    )
-    field_e = 0.5 * dirichlet_energy(U, grid)
-    qkin = float(0.5 * np.sum(spectrum.kinetic_energies(grid) * rho_j) * area_w)
-    chi2 = spectrum.chi_closed() ** 2
-    vchi = np.einsum("abz,abjz->abj", vext.values * grid.z_weights()[None, None, :], chi2)
-    vext_pair = float(np.sum(vchi * rho_j) * area_w)
     return FreeEnergyBreakdown(
-        kinetic_v=kinetic_v,
-        band_energy=band,
-        field_energy=field_e,
-        casimir=casimir,
-        quantum_kinetic=qkin,
-        vext_pairing=vext_pair,
+        kinetic_v=float(2.0 * np.pi * np.sum(model.profile_k(gap)) * area_w),
+        band_energy=float(np.sum(spectrum.lam * rho_j) * area_w),
+        field_energy=0.5 * dirichlet_energy(U, grid),
+        casimir=float(model.T * 2.0 * np.pi * np.sum(model.profile_b(gap)) * area_w),
+        quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
+        vext_pairing=external_pairing(rho_j, spectrum.chi, vext.values, grid),
     )
 
 

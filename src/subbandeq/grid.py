@@ -31,8 +31,8 @@ class Grid:
             raise ValueError("need at least 2 interior nodes in each lateral direction")
         if self.nz < 4:
             raise ValueError("need at least 4 z-intervals")
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise ValueError("lateral extents must be positive")
+        if not (0.0 < self.L1 < np.inf and 0.0 < self.L2 < np.inf):
+            raise ValueError("lateral extents must be finite and positive")
 
     @property
     def hy1(self) -> float:

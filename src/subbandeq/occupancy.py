@@ -40,10 +40,10 @@ class OccupancyModel:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("temperature must be nonnegative")
-        if not self.p > 1:
-            raise ValueError("power family requires p > 1 (strict convexity)")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError("temperature must be finite and nonnegative")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("power family requires a finite p > 1 (strict convexity)")
 
     def beta(self, s):
         s = np.asarray(s, dtype=float)
@@ -193,10 +193,9 @@ def solve_mu(
     spectrum,
     grid,
     model: OccupancyModel,
-    rel_tol: float = MU_REL_TOL,
     mu_guess: float | None = None,
 ) -> float:
-    """Invert the mass function: mu with |mass(mu) - M| <= rel_tol * M.
+    """Invert the mass function: mu with |mass(mu) - M| <= MU_REL_TOL * M.
 
     The mass is zero at the spectral bottom lo and continuous and
     nondecreasing above it.  The first trial is mu_guess (the previous
@@ -220,7 +219,7 @@ def solve_mu(
         return subband_mass(mu, spectrum, grid, model) - M
 
     def hit(mu, e):
-        return abs(e) <= max(rel_tol * M, noise * max(1.0, abs(mu)))
+        return abs(e) <= max(MU_REL_TOL * M, noise * max(1.0, abs(mu)))
 
     a, ea, b, eb = lo, -M, None, None
     x = float(mu_guess) if mu_guess is not None and mu_guess > lo else lo + 1.0

@@ -25,7 +25,14 @@ import numpy as np
 from .grid import Field3D, Grid
 from .occupancy import OccupancyModel
 from .poisson import dirichlet_energy, solve_poisson
-from .schrodinger import profile_kinetic_energy, zero_extend
+from .schrodinger import (
+    band_sum_density,
+    confined_kinetic,
+    external_pairing,
+    mode_expectations,
+    profile_kinetic_energy,
+    zero_extend,
+)
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,9 @@ class AdmissiblePair:
     def J(self) -> int:
         return self.f.shape[2]
 
-    def validate_orthonormal(self, grid: Grid, tol: float = 1e-8) -> None:
+    def validate_orthonormal(self, grid: Grid) -> None:
         gram = grid.hz * np.einsum("abjz,abkz->abjk", self.chi, self.chi)
-        if np.max(np.abs(gram - np.eye(self.J))) > tol:
+        if np.max(np.abs(gram - np.eye(self.J))) > 1e-8:
             raise ValueError("modes are not orthonormal per slice")
 
 
@@ -92,13 +99,8 @@ def rayleigh_energies(chi: np.ndarray, W, grid: Grid) -> np.ndarray:
 
     W: slice potential on interior z-nodes, shape (ny1, ny2, nz-1) or (nz-1,).
     """
-    W = np.asarray(W, dtype=float)
-    kin = 0.5 * profile_kinetic_energy(chi, grid)
-    if W.ndim == 1:
-        pot = grid.hz * np.einsum("z,abjz->abj", W, chi**2)
-    else:
-        pot = grid.hz * np.einsum("abz,abjz->abj", W, chi**2)
-    return kin + pot
+    W = zero_extend(np.broadcast_to(np.asarray(W, dtype=float), chi.shape[:2] + chi.shape[3:]))
+    return 0.5 * profile_kinetic_energy(chi, grid) + mode_expectations(W, chi, grid)
 
 
 # ---- functionals of a pair ---------------------------------------------------
@@ -121,8 +123,7 @@ def pair_casimir(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -> flo
 
 def pair_density(pair: AdmissiblePair, grid: Grid) -> Field3D:
     """Total density rho(x) = sum_j rho_{f_j}(y) chi_j(x)^2 on closed z-nodes."""
-    chi2 = zero_extend(pair.chi**2)
-    return Field3D(np.einsum("abj,abjz->abz", band_densities(pair), chi2))
+    return Field3D(band_sum_density(band_densities(pair), pair.chi))
 
 
 def velocity_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
@@ -131,12 +132,6 @@ def velocity_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
     return float(
         np.einsum("abjv,v->", pair.f, pair.vgrid.weights * u) * grid.hy1 * grid.hy2
     )
-
-
-def confined_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
-    """(1/2) sum_j int |d chi_j/dz|^2 rho_{f_j} dy."""
-    k = profile_kinetic_energy(pair.chi, grid)
-    return float(0.5 * np.sum(k * band_densities(pair)) * grid.hy1 * grid.hy2)
 
 
 def pair_free_energy(
@@ -150,19 +145,16 @@ def pair_free_energy(
     Kinetic + confined kinetic + external pairing + field + T * Casimir,
     all on the pair's own quadratures.
     """
-    rho = pair_density(pair, grid)
-    U = solve_poisson(rho, grid)
+    rho_j = band_densities(pair)
+    U = solve_poisson(Field3D(band_sum_density(rho_j, pair.chi)), grid)
     total = (
         velocity_kinetic(pair, grid)
-        + confined_kinetic(pair, grid)
+        + confined_kinetic(rho_j, pair.chi, grid)
         + 0.5 * dirichlet_energy(U, grid)
         + model.T * pair_casimir(pair, grid, model)
     )
     if vext is not None:
-        chi2 = zero_extend(pair.chi**2)
-        vw = vext.values * grid.z_weights()[None, None, :]
-        vchi = np.einsum("abz,abjz->abj", vw, chi2)
-        total += float(np.sum(vchi * band_densities(pair)) * grid.hy1 * grid.hy2)
+        total += external_pairing(rho_j, pair.chi, vext.values, grid)
     return float(total), U
 
 
@@ -208,19 +200,21 @@ def is_occupation_sorted(pair: AdmissiblePair) -> bool:
     return bool(np.all(np.diff(pair.f, axis=2) <= 0.0))
 
 
-def joint_density_through(pair: AdmissiblePair, order: np.ndarray, grid: Grid) -> Field3D:
-    """Total density when f and the chi^2 weights are permuted jointly.
+def joint_band_densities(pair: AdmissiblePair, order: np.ndarray) -> np.ndarray:
+    """Band densities when f and the modes are permuted jointly, shape (ny1, ny2, J).
 
     order has the shape of f and gives, at each (y, speed) point, the band
-    whose (occupation, mode) pair lands at slot j.  Used to verify that a
-    speed-dependent rearrangement leaves the density untouched.
+    whose (occupation, mode) pair lands at slot j.  The occupation in slot
+    j is credited to the mode it traveled with, band order[..., j, v],
+    through a one-hot (slot, band) contraction over the speed nodes.  Used to
+    verify that a speed-dependent rearrangement leaves the mode-weighted
+    integrals untouched.
     """
     f_perm = np.take_along_axis(pair.f, order, axis=2)
-    chi2 = zero_extend(pair.chi**2)
-    # sum over speed first: the chi^2 factor follows the same permutation
-    rho = np.zeros_like(chi2[:, :, 0])
-    w = pair.vgrid.weights
-    for v in range(pair.vgrid.n_nodes):
-        chi2_perm = np.take_along_axis(chi2, order[..., v][..., None], axis=2)
-        rho += w[v] * np.einsum("abj,abjz->abz", f_perm[..., v], chi2_perm)
-    return Field3D(rho)
+    onehot = order[..., None] == np.arange(pair.J)
+    return np.einsum("abjv,abjvi,v->abi", f_perm, onehot, pair.vgrid.weights)
+
+
+def joint_density_through(pair: AdmissiblePair, order: np.ndarray, grid: Grid) -> Field3D:
+    """Total density of the jointly permuted pair (see joint_band_densities)."""
+    return Field3D(band_sum_density(joint_band_densities(pair, order), pair.chi))

@@ -65,14 +65,10 @@ class SubbandSpectrum:
         """Modes on the closed z-node set, zeros prepended/appended."""
         return zero_extend(self.chi)
 
-    def kinetic_energies(self, grid: Grid) -> np.ndarray:
-        """Discrete |d chi/dz|^2 norms, shape (ny1, ny2, J)."""
-        return profile_kinetic_energy(self.chi, grid)
-
-    def validate(self, grid: Grid, gap_margin: float = 1e-10) -> None:
+    def validate(self, grid: Grid) -> None:
         if self.lam.shape[:2] != grid.lateral_shape or self.chi.shape[3] != grid.nz - 1:
             raise ValueError("spectrum shape does not match grid")
-        if not np.all(np.diff(self.lam, axis=2) > gap_margin):
+        if not np.all(np.diff(self.lam, axis=2) > 1e-10):
             raise ValueError("eigenvalues are not strictly increasing in the band index")
         norms = grid.hz * np.sum(self.chi**2, axis=3)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
@@ -95,6 +91,35 @@ def profile_kinetic_energy(chi: np.ndarray, grid: Grid) -> np.ndarray:
     edge = np.sum(d * d, axis=-1)
     edge = edge + np.take(chi, 0, axis=-1) ** 2 + np.take(chi, -1, axis=-1) ** 2
     return edge / grid.hz
+
+
+# ---- mode-weighted integrals ---------------------------------------------------
+# The solver's band densities rho_j = 2 pi G(mu - lambda_j) and an admissible
+# pair's rho_j = int f_j dv meet the modes only through the functions below,
+# so both sides integrate over z with one quadrature.
+
+
+def band_sum_density(rho_j: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """rho(x) = sum_j rho_j(y) chi_j(x)^2 on the closed z-nodes, shape (ny1, ny2, nz+1)."""
+    return np.einsum("abj,abjz->abz", rho_j, zero_extend(chi) ** 2)
+
+
+def confined_kinetic(rho_j: np.ndarray, chi: np.ndarray, grid: Grid) -> float:
+    """(1/2) sum_j int |d chi_j/dz|^2 rho_j dy."""
+    return float(0.5 * np.sum(profile_kinetic_energy(chi, grid) * rho_j) * (grid.hy1 * grid.hy2))
+
+
+def mode_expectations(W: np.ndarray, chi: np.ndarray, grid: Grid) -> np.ndarray:
+    """int W chi_j^2 dz per slice and band, shape (ny1, ny2, J).
+
+    W is sampled on lateral nodes x closed z-nodes.
+    """
+    return np.einsum("abz,abjz->abj", W * grid.z_weights()[None, None, :], zero_extend(chi) ** 2)
+
+
+def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
+    """sum_j int V chi_j^2 rho_j dx, V sampled on lateral nodes x closed z-nodes."""
+    return float(np.sum(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2))
 
 
 # Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)

@@ -171,32 +171,50 @@ class TestSolve:
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
-        "extra", [{"bogus": 2}, {"poisson_tol": 1e-10}], ids=["bogus", "poisson_tol"]
+        "extra",
+        [{"bogus": 2}, {"poisson_tol": 1e-10}, {"verify": {"unsorted_probe": False}}],
+        ids=["bogus", "poisson_tol", "unsorted_probe"],
     )
     def test_unknown_key_exit_1(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"M_target": 1.0, **extra})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("extra", [{"fp_tol": float("inf")}, {"fp_tol": float("nan")}],
-                             ids=["inf", "nan"])
-    def test_nonfinite_fp_tol_exit_1(self, tmp_path, extra):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"fp_tol": float("inf")},
+            {"fp_tol": float("nan")},
+            {"M_target": float("inf")},
+            {"T": float("inf")},
+            {"beta_p": float("inf")},
+            {"grid": {**FAST["grid"], "L1": float("inf")}},
+            {"grid": {**FAST["grid"], "L2": float("inf")}},
+        ],
+        ids=["inf", "nan", "M_target", "T", "beta_p", "L1", "L2"],
+    )
+    def test_nonfinite_fp_tol_exit_1(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, {**FAST, **extra})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, message",
         [
-            ("solve", {"grid": {"ny1": 6, "ny2": 6, "nz": 16.9}}),
-            ("solve", {"max_outer": 2.7}),
-            ("verify", {"verify": {"n_pairs": 1.5}}),
+            ("solve", {"grid": {"ny1": 6, "ny2": 6, "nz": 16.9}}, "must be an integer"),
+            ("solve", {"max_outer": 2.7}, "must be an integer"),
+            ("verify", {"verify": {"n_pairs": 1.5}}, "must be an integer"),
+            ("verify", {"verify": {"n_pairs": 0}},
+             "config error: verify.n_pairs must be at least 1"),
+            ("verify", {"verify": {"n_perturbations": 0}},
+             "config error: verify.n_perturbations must be at least 1"),
         ],
-        ids=["nz", "max_outer", "n_pairs"],
+        ids=["nz", "max_outer", "n_pairs", "n_pairs_0", "n_perturbations_0"],
     )
-    def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra):
+    def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra, message):
         cfg = write_config(tmp_path, {**FAST, **extra})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "state.json").exists()
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert (
@@ -256,13 +274,6 @@ class TestVerify:
         main(["verify", "--config", cfg, "--out", str(out)])
         raw = (out / "verify_report.json").read_text()
         assert json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n" == raw
-
-    def test_unsorted_probe_exits_1(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {**FAST, "verify": {"n_pairs": 1, "n_perturbations": 1, "unsorted_probe": True}},
-        )
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
 class TestValidate:

@@ -18,7 +18,7 @@ from subbandeq.rearrange import (
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import profile_kinetic_energy
+from subbandeq.schrodinger import profile_kinetic_energy, zero_extend
 from subbandeq.verify import random_test_pair
 
 GRID = Grid(4, 4, 24)
@@ -40,6 +40,17 @@ def sine_pair(order=(1, 2), f_values=None):
         f[:, :, slot, :] = val * np.exp(-VGRID.r**2)
     h = rayleigh_energies(chi, np.zeros(GRID.nz - 1), GRID)
     return AdmissiblePair(f=f, chi=chi, h=h, vgrid=VGRID)
+
+
+def joint_density_loop(pair, order):
+    """Speed node by speed node: the reference for the one-hot contraction."""
+    f_perm = np.take_along_axis(pair.f, order, axis=2)
+    chi2 = zero_extend(pair.chi**2)
+    rho = np.zeros_like(chi2[:, :, 0])
+    for v, w in enumerate(pair.vgrid.weights):
+        chi2_perm = np.take_along_axis(chi2, order[..., v][..., None], axis=2)
+        rho += w * np.einsum("abj,abjz->abz", f_perm[..., v], chi2_perm)
+    return rho
 
 
 class TestRadialGrid:
@@ -147,6 +158,19 @@ class TestOccupationSort:
             joint = joint_density_through(pair, order, GRID).values
             plain = pair_density(pair, GRID).values
             assert np.max(np.abs(joint - plain)) <= 1e-12 * max(1.0, np.max(plain))
+
+    def test_joint_density_follows_order(self):
+        # band 0 standing in for band 1 at every point: the joint density
+        # counts mode 0 twice and mode 1 never, so it must leave pair_density,
+        # exactly as the speed-node loop does
+        pair = random_test_pair(GRID, 3, VGRID, seed=53)
+        order = occupation_sort_permutation(pair)
+        broken = np.where(order == 1, 0, order)
+        plain = pair_density(pair, GRID).values
+        for o in (order, broken):
+            joint = joint_density_through(pair, o, GRID).values
+            assert np.max(np.abs(joint - joint_density_loop(pair, o))) <= 1e-13 * np.max(plain)
+        assert np.max(np.abs(joint - plain)) > 1e-3 * np.max(plain)
 
     def test_idempotent(self):
         pair = random_test_pair(GRID, 4, VGRID, seed=23)
