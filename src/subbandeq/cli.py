@@ -4,7 +4,10 @@ Configuration is a single JSON file; every key has a default, so the
 minimal config is {"M_target": 1.0}.  All outputs are deterministic
 functions of (config, seed): CSV columns are written in scientific
 notation with 17 significant digits (lossless doubles) and JSON reports
-re-serialize byte-identically.
+re-serialize byte-identically.  The CSV writer takes numpy columns that
+broadcast together (node axes are never expanded to the full grid) and
+formats each distinct bit pattern once per block of rows; the bytes are
+those of formatting every value in turn.
 """
 
 from __future__ import annotations
@@ -117,19 +120,31 @@ def _dump_json(obj, path: Path) -> None:
 
 
 def _write_csv(path: Path, header: list[str], *columns) -> None:
-    """One row per element of the equal-size array columns, in C order.
+    """One row per element of the columns broadcast together, in C order.
 
-    Float columns are written with FLOAT_FMT and integer columns with %d;
-    each block of CSV_BLOCK_ROWS rows is one % of the repeated line format.
+    Float columns are written with FLOAT_FMT and integer columns with %d.
+    Rows go out in blocks of CSV_BLOCK_ROWS, gathered from the broadcast
+    views, so no column is copied at full size.  Within a block each
+    distinct bit pattern of a column is formatted once (bits, not values:
+    -0.0 and 0.0 compare equal but print differently) and its text is
+    gathered into the rows.
     """
-    cols = [np.ravel(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in cols) + "\n"
+    cols = np.broadcast_arrays(*columns)
+    fmts = ["%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in cols]
+    shape, size = cols[0].shape, cols[0].size
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, cols[0].size, CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            block = np.column_stack([c[rows].astype(object) for c in cols])
-            fh.write(line * len(block) % tuple(block.ravel()))
+        for start in range(0, size, CSV_BLOCK_ROWS):
+            rows = np.unravel_index(np.arange(start, min(start + CSV_BLOCK_ROWS, size)), shape)
+            texts = []
+            for c, fmt in zip(cols, fmts):
+                block = c[rows]
+                _, first, inverse = np.unique(
+                    block.view(f"u{block.itemsize}"), return_index=True, return_inverse=True
+                )
+                distinct = np.array([fmt % v for v in block[first].tolist()], dtype=object)
+                texts.append(distinct[inverse].tolist())
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
@@ -149,18 +164,23 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
         },
         out / "state.json",
     )
-    y1, y2 = grid.y1_nodes(), grid.y2_nodes()
+    # the lateral node axes broadcast against the trailing z or band axis
+    y1, y2 = grid.y1_nodes()[:, None, None], grid.y2_nodes()[None, :, None]
     _write_csv(
         out / "fields.csv",
         ["y1", "y2", "z", "U", "rho"],
-        *np.meshgrid(y1, y2, grid.z_nodes(), indexing="ij"),
+        y1,
+        y2,
+        grid.z_nodes(),
         state.U.values,
         state.rho.values,
     )
     _write_csv(
         out / "spectrum.csv",
         ["y1", "y2", "j", "lambda"],
-        *np.meshgrid(y1, y2, np.arange(1, state.spectrum.J + 1), indexing="ij"),
+        y1,
+        y2,
+        np.arange(1, state.spectrum.J + 1),
         state.spectrum.lam,
     )
     _write_csv(

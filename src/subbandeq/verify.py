@@ -579,6 +579,9 @@ def run_verification(
     n_perturbations: int = 12,
 ) -> list[CheckReport]:
     """Solve, then run every check; returns one report per check family."""
+    for name, n in (("n_pairs", n_pairs), ("n_perturbations", n_perturbations)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     state, trace = solve_equilibrium(cfg)
     if not trace.converged:
         raise RuntimeError("equilibrium solve did not converge; cannot verify")

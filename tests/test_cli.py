@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subbandeq
-from subbandeq.cli import load_config, main, solver_config
+from subbandeq.cli import CSV_BLOCK_ROWS, _write_csv, load_config, main, solver_config
 from subbandeq.equilibrium import solve_equilibrium
+from subbandeq.grid import Grid
 
 MINIMAL = {"M_target": 1.0}
 
@@ -61,6 +63,48 @@ def test_runtime_without_scipy(tmp_path):
         f"print([main(argv + ['--config', {cfg!r}, '--out', {out!r}]) for argv in runs])\n"
     )
     assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0]"
+
+
+class TestWriteCsv:
+    def test_blocks_and_edge_values_match_per_value_reference(self, tmp_path):
+        # 2.5 blocks of rows; values repeat within and across blocks, and
+        # 0.0 / -0.0 (equal values, different text) share every block
+        rng = np.random.default_rng(5)
+        shape = (8, 40, CSV_BLOCK_ROWS // 128)
+        edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 1e-300, -1e-300]
+        pool = np.array(edges + list(rng.standard_normal(20)))
+        a = np.linspace(-1.0, 1.0, shape[0])[:, None, None]
+        b = rng.choice([0.0, -0.0, 0.5, -1e300], shape[1])[None, :, None]
+        k = np.arange(shape[2]) - 3
+        v = rng.choice(pool, shape)
+        header = ["a", "b", "k", "v"]
+        _write_csv(tmp_path / "t.csv", header, a, b, k, v)
+        rows = [(a[i, 0, 0], b[0, j, 0], k[m], v[i, j, m]) for i, j, m in np.ndindex(shape)]
+        assert len(rows) == 2.5 * CSV_BLOCK_ROWS
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows).encode()
+
+    def test_zero_rows_writes_header_only(self, tmp_path):
+        _write_csv(tmp_path / "t.csv", ["iter", "residual"], np.arange(1, 1), [])
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(["iter", "residual"], []).encode()
+
+    def test_working_set_bounded_by_block(self, tmp_path):
+        # fields.csv at 24x24x64 and 48x48x64, columns passed as the solve
+        # passes them: the writer's peak is that of one block, not of the table
+        rng = np.random.default_rng(0)
+        U, rho = rng.standard_normal((2, 24, 24, 65))
+        peaks = []
+        for ny in (24, 48):
+            g = Grid(ny, ny, 64)
+            reps = (ny // 24, ny // 24, 1)
+            columns = (g.y1_nodes()[:, None, None], g.y2_nodes()[None, :, None], g.z_nodes(),
+                       np.tile(U, reps), np.tile(rho, reps))
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "fields.csv", ["y1", "y2", "z", "U", "rho"], *columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestSolve:

@@ -301,3 +301,14 @@ class TestRunVerification:
         ]
         again = run_verification(cfg, seed=42, n_pairs=3, n_perturbations=3)
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in again]
+
+    @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_perturbations": 0}])
+    def test_counts_below_one_rejected_before_the_solve(self, counts):
+        # max_outer = 1 cannot converge, so the solve would raise RuntimeError:
+        # the ValueError shows the counts are checked first
+        cfg = SolverConfig(M_target=0.5, grid=Grid(4, 4, 16), vext_kind="zwell", max_outer=1)
+        with pytest.raises(RuntimeError):
+            run_verification(cfg, n_pairs=1, n_perturbations=1)
+        (name,) = counts
+        with pytest.raises(ValueError, match=name):
+            run_verification(cfg, **counts)
