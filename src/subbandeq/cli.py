@@ -261,7 +261,7 @@ def cmd_sweep(args) -> int:
         values, mus, j_active, F_total, iterations,
     )
     if args.param == "M":
-        monotone = bool(np.all(np.diff(mus) >= 0.0))
+        monotone = bool(np.all(np.diff(mus[np.argsort(values, kind="stable")]) >= 0.0))
         print(f"mu monotone nondecreasing in M: {monotone}")
     return 0
 

@@ -7,7 +7,9 @@ tridiagonal matrix T (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
 spectrum is real and simple.  Rayleigh-quotient iteration runs on all
 (slice, band) pairs of a block at once by vectorized LDL^T solves; a slice
 is kept if each band's residual is at most rho = 8 eps ||T|| and the Sturm
-counts (negative LDL^T pivots) at sigma_j -/+ rho are j and j + 1.  The guess
+counts (negative LDL^T pivots) at sigma_j -/+ rho are j and j + 1.  The
+pivots run unguarded, and columns whose pivots reach the eps ||T|| guard are
+recomputed with it, so results are those of the guarded recurrence.  The guess
 is the previous cycle's modes, with sine modes (exact for W = 0) for missing
 bands and for slices without or failing a guess; dense eigh is the last
 resort.  A shared Rayleigh polish takes the eigenvalues to machine accuracy.
@@ -129,7 +131,7 @@ _MAX_SWEEPS = 6  # warm Rayleigh-quotient sweeps before a slice falls back
 _EPS = np.finfo(float).eps
 
 
-def _ldl_pivots(D, e: float, guard):
+def _guarded_pivots(D, e: float, guard):
     """LDL^T pivots of tridiag(e, D[:, i], e), each column i of D (n, m).
 
     Pivots below guard in magnitude become -guard; the negative ones count
@@ -140,6 +142,29 @@ def _ldl_pivots(D, e: float, guard):
         p = D[k] - e * e / piv[k - 1] if k else D[0]
         piv[k] = np.where(np.abs(p) < guard, -guard, p)
     return piv
+
+
+def _ldl_pivots(A, shift, e: float, guard):
+    """The pivots of _guarded_pivots(A - shift, e, guard), computed fast.
+
+    The recurrence first runs without the guard, in place.  Up to its first
+    clamp the guarded loop does the same IEEE operations in the same order,
+    so a column whose pivots all have magnitude at least guard is exact as
+    it stands.  Every other column (a pivot below guard, possibly zero and
+    followed by inf, or NaN, which fails both comparisons) is recomputed by
+    the guarded loop itself.
+    """
+    D = A - shift
+    c = e * e
+    t = np.empty_like(D[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for prev, row in zip(D, D[1:]):
+            np.divide(c, prev, out=t)
+            np.subtract(row, t, out=row)
+    redo = np.flatnonzero(~np.all((D >= guard) | (D <= -guard), axis=0))
+    if redo.size:
+        D[:, redo] = _guarded_pivots(A[:, redo] - shift[redo], e, guard[redo])
+    return D
 
 
 def _rayleigh(A, e: float, X):
@@ -169,7 +194,7 @@ def _warm(a, e: float, chi_g):
         if act.size == 0:
             break
         act = act if act.size < r.size else slice(None)
-        piv = _ldl_pivots(A[:, act] - sigma[act], e, guard[act])
+        piv = _ldl_pivots(A[:, act], sigma[act], e, guard[act])
         l = e / piv
         X = V[:, act]
         for k in range(1, n):
@@ -185,7 +210,7 @@ def _warm(a, e: float, chi_g):
     j = np.tile(np.arange(J), B)
     # One shift at a time: the pivots of both would double the working set.
     for shift, count in ((-rho, j), (rho, j + 1)):
-        ok &= np.sum(_ldl_pivots(A - (sigma + shift), e, guard) < 0.0, axis=0) == count
+        ok &= np.sum(_ldl_pivots(A, sigma + shift, e, guard) < 0.0, axis=0) == count
     return np.ascontiguousarray(V.T).reshape(B, J, n), np.all(ok.reshape(B, J), axis=1)
 
 

@@ -347,6 +347,18 @@ class TestSweep:
         assert rows.shape[0] == 3
         assert np.all(np.diff(rows[:, 1]) >= 0.0)  # mu nondecreasing in M
 
+    def test_monotonicity_judged_in_increasing_mass(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", cfg, "--out", str(out), "--param", "M",
+             "--values", "1.0,0.25,0.5"]
+        )
+        assert code == 0
+        assert "mu monotone nondecreasing in M: True" in capsys.readouterr().out
+        rows = np.loadtxt((out / "sweep.csv").read_text().splitlines()[1:], delimiter=",")
+        assert rows[:, 0].tolist() == [1.0, 0.25, 0.5]  # rows keep the given order
+
     def test_csv_bytes_match_per_value_reference(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "out"

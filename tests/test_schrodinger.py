@@ -12,7 +12,10 @@ import subbandeq
 
 from subbandeq.grid import Grid, integrate_z
 from subbandeq.schrodinger import (
+    _EPS,
     SubbandSpectrum,
+    _guarded_pivots,
+    _ldl_pivots,
     _warm,
     eigenvalue_stability_gap,
     free_mode_eigenvalue,
@@ -175,6 +178,50 @@ class TestSolveSlices:
         full = spec.chi_closed()
         assert full.shape == (2, 2, 2, g.nz + 1)
         assert np.all(full[..., 0] == 0.0) and np.all(full[..., -1] == 0.0)
+
+
+class TestPivots:
+    def test_fast_pivots_bitwise_guarded_where_replayed(self):
+        g = Grid(2, 2, 32)
+        n, e = g.nz - 1, -0.5 / g.hz**2
+        a = np.full(n, 1.0 / g.hz**2)  # W = 0
+        guard0 = _EPS * (a[0] + 2.0 * abs(e))
+        below = np.nextafter(a[0], -np.inf)
+        assert 0.0 < a[0] - below < guard0
+        rng = np.random.default_rng(6)
+        shift = np.concatenate([
+            free_mode_eigenvalue(np.arange(1, n + 1), g),  # exact eigenvalues
+            [a[0], below],  # first pivot 0, first pivot nonzero below the guard
+            rng.uniform(0.0, 4.0 * a[0], 40),  # generic
+        ])
+        A = np.repeat(a[:, None], len(shift), axis=1)
+        guard = np.full(len(shift), guard0)
+        ref = _guarded_pivots(A - shift, e, guard)
+        clamped = np.any(ref == -guard, axis=0)
+        assert np.any(clamped[:n]) and np.all(clamped[n : n + 2])
+        piv = _ldl_pivots(A, shift, e, guard)
+        assert np.array_equal(piv, ref)
+        assert np.array_equal(np.sum(piv < 0.0, axis=0), np.sum(ref < 0.0, axis=0))
+
+    def test_solver_bitwise_guarded_reference(self, monkeypatch):
+        g = Grid(32, 32, 16)
+        W = zwell_noise(g, 4)
+        guess = solve_slices(W + 0.1 * np.random.default_rng(9).standard_normal(W.shape), 6, g)
+        replayed = []
+
+        def counting(D, e, guard):
+            replayed.append(D.shape[1])
+            return _guarded_pivots(D, e, guard)
+
+        monkeypatch.setattr("subbandeq.schrodinger._guarded_pivots", counting)
+        fast = solve_slices(W, 6, g, guess)
+        assert sum(replayed) > 0
+        monkeypatch.setattr(
+            "subbandeq.schrodinger._ldl_pivots", lambda A, s, e, gd: _guarded_pivots(A - s, e, gd)
+        )
+        ref = solve_slices(W, 6, g, guess)
+        assert np.array_equal(fast.lam, ref.lam)
+        assert np.array_equal(fast.chi, ref.chi)
 
 
 class TestWarmStart:
