@@ -6,7 +6,7 @@ occupation; at T = 0 it degenerates to a step.  All velocity-space
 integrals of the equilibrium ansatz collapse to three 1D profiles of the
 local gap a = mu - lambda_j(y): G (density), K (kinetic energy), B
 (entropy).  The closed forms used by the solver are checked here against
-adaptive quadrature and rendered for a few parameter choices.
+tanh-sinh quadrature and rendered for a few parameter choices.
 """
 
 import numpy as np

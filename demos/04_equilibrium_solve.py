@@ -12,9 +12,9 @@ from subbandeq import (
     Grid,
     OccupancyModel,
     SolverConfig,
-    active_subband_count,
     solve_equilibrium,
 )
+from subbandeq.verify import check_subband_structure
 
 cfg = SolverConfig(
     M_target=1.0,
@@ -47,10 +47,11 @@ print(f"  band-resolved route  {e.total_primal:.12f}")
 print(f"  direct route         {e.total_direct:.12f}")
 print(f"  agreement            {abs(e.total_primal - e.total_direct):.2e}")
 
-j_active, bound = active_subband_count(state)
+structure = check_subband_structure(state)
+assert structure.passed, structure
 print("\nSubband structure:")
 print(f"  chemical potential mu = {state.mu:.8f}")
-print(f"  active bands {j_active} (cap sqrt(3 mu)/pi + 1 = {bound:.3f})")
+print(f"  active bands {state.j_active} (cap sqrt(3 mu)/pi + 1 = {structure.rhs:.3f})")
 lam_ranges = [
     (j + 1, float(np.min(state.spectrum.lam[:, :, j])), float(np.max(state.spectrum.lam[:, :, j])))
     for j in range(state.spectrum.J)

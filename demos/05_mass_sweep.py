@@ -11,9 +11,9 @@ from subbandeq import (
     Grid,
     OccupancyModel,
     SolverConfig,
-    active_subband_count,
     solve_equilibrium,
 )
+from subbandeq.verify import check_subband_structure
 
 grid = Grid(10, 10, 32)
 masses = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 80.0]
@@ -31,10 +31,11 @@ for M in masses:
         max_outer=600,
     )
     state, trace = solve_equilibrium(cfg)
-    j_act, cap = active_subband_count(state)
+    structure = check_subband_structure(state)
+    assert structure.passed, structure
     mus.append(state.mu)
     print(
-        f"  {M:5.2f}  {state.mu:10.6f}  {j_act:6d}   {cap:6.3f}"
+        f"  {M:5.2f}  {state.mu:10.6f}  {state.j_active:6d}   {structure.rhs:6.3f}"
         f"  {state.energy.total_direct:12.6f}  {trace.iterations:5d}"
         f"{'' if trace.converged else '  (not converged)'}"
     )

@@ -8,7 +8,7 @@ monotone spectrum, chemical-potential bound, uniqueness of the potential,
 free-energy coercivity and the stability gap).
 """
 
-from .grid import Field2D, Field3D, Grid, integrate_lateral, integrate_z
+from .grid import Field3D, Grid
 from .occupancy import OccupancyModel, solve_mu, subband_mass
 from .schrodinger import SubbandSpectrum, solve_slice, solve_slices
 from .poisson import dirichlet_energy, potential_pairing, solve_poisson
@@ -17,11 +17,9 @@ from .equilibrium import (
     FreeEnergyBreakdown,
     IterationTrace,
     SolverConfig,
-    active_subband_count,
     assemble_density,
     choose_J_max,
     external_potential,
-    free_energy,
     solve_equilibrium,
 )
 from .rearrange import (
@@ -32,11 +30,8 @@ from .rearrange import (
 )
 
 __all__ = [
-    "Field2D",
     "Field3D",
     "Grid",
-    "integrate_lateral",
-    "integrate_z",
     "OccupancyModel",
     "solve_mu",
     "subband_mass",
@@ -50,11 +45,9 @@ __all__ = [
     "FreeEnergyBreakdown",
     "IterationTrace",
     "SolverConfig",
-    "active_subband_count",
     "assemble_density",
     "choose_J_max",
     "external_potential",
-    "free_energy",
     "solve_equilibrium",
     "RadialGrid",
     "AdmissiblePair",

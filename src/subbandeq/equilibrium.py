@@ -261,18 +261,6 @@ class IterationTrace:
         self.thetas.append(float(theta))
 
 
-def free_energy(
-    state: EquilibriumState,
-    vext: Field3D,
-    grid: Grid,
-    model: OccupancyModel,
-) -> FreeEnergyBreakdown:
-    """Both free-energy routes for an ansatz state."""
-    return _energy_breakdown(
-        state.spectrum, state.mu, state.rho_j, state.U, vext, grid, model
-    )
-
-
 def make_state(
     spectrum: SubbandSpectrum,
     mu: float,
@@ -281,7 +269,7 @@ def make_state(
     vext: Field3D | None = None,
     U: Field3D | None = None,
 ) -> EquilibriumState:
-    """Assemble a state from a spectrum and chemical potential.
+    """Assemble a state, both free-energy routes included, from a spectrum and mu.
 
     The potential defaults to the Poisson solution of the assembled
     density; passing U explicitly decouples the field (useful for oracle
@@ -292,16 +280,9 @@ def make_state(
     rho_j, rho = assemble_density(spectrum, mu, model, grid)
     if U is None:
         U = solve_poisson(rho, grid)
-    energy = _energy_breakdown(spectrum, mu, rho_j, U, vext, grid, model)
-    return EquilibriumState(
-        mu=mu, spectrum=spectrum, U=U, rho=rho, rho_j=rho_j, energy=energy
-    )
-
-
-def _energy_breakdown(spectrum, mu, rho_j, U, vext, grid, model):
     area_w = grid.hy1 * grid.hy2
     gap = mu - spectrum.lam
-    return FreeEnergyBreakdown(
+    energy = FreeEnergyBreakdown(
         kinetic_v=float(2.0 * np.pi * np.sum(model.profile_k(gap)) * area_w),
         band_energy=float(np.sum(spectrum.lam * rho_j) * area_w),
         field_energy=0.5 * dirichlet_energy(U, grid),
@@ -309,20 +290,9 @@ def _energy_breakdown(spectrum, mu, rho_j, U, vext, grid, model):
         quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
         vext_pairing=external_pairing(rho_j, spectrum.chi, vext.values, grid),
     )
-
-
-def active_subband_count(state: EquilibriumState) -> tuple[int, float]:
-    """Number of occupied bands and the theoretical cap sqrt(3 mu)/pi + 1.
-
-    Raises if the count violates the cap.
-    """
-    j_active = state.j_active
-    bound = math.sqrt(3.0 * max(state.mu, 0.0)) / math.pi + 1.0
-    if not j_active < bound:
-        raise AssertionError(
-            f"active band count {j_active} violates the bound {bound:.6f}"
-        )
-    return j_active, bound
+    return EquilibriumState(
+        mu=mu, spectrum=spectrum, U=U, rho=rho, rho_j=rho_j, energy=energy
+    )
 
 
 @dataclass(frozen=True)
@@ -342,11 +312,7 @@ def _evaluate_cycle(
     modes, mu_guess = (None, None) if guess is None else (guess.spectrum, guess.mu)
     spectrum = solve_slices(W, J, grid, modes)
     mu = solve_mu(cfg.M_target, spectrum, grid, cfg.model, mu_guess=mu_guess)
-    rho_j, rho = assemble_density(spectrum, mu, cfg.model, grid)
-    U_out = solve_poisson(rho, grid)
-    energy = _energy_breakdown(spectrum, mu, rho_j, U_out, vext, grid, cfg.model)
-    state = EquilibriumState(mu=mu, spectrum=spectrum, U=U_out, rho=rho, rho_j=rho_j, energy=energy)
-    return _Cycle(U_in, state)
+    return _Cycle(U_in, make_state(spectrum, mu, grid, cfg.model, vext))
 
 
 def _initial_potential(cfg: SolverConfig) -> Field3D:

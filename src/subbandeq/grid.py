@@ -80,25 +80,6 @@ class Grid:
         return self.ny1 * self.ny2 * self.hy1 * self.hy2
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} contains non-finite values")
-
-
-@dataclass(frozen=True)
-class Field2D:
-    """Real scalar field on the interior lateral nodes, shape (ny1, ny2)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("Field2D expects a 2D array")
-        _check_finite(v, "Field2D")
-        object.__setattr__(self, "values", v)
-
-
 @dataclass(frozen=True)
 class Field3D:
     """Real scalar field on lateral nodes x closed z-nodes, shape (ny1, ny2, nz+1)."""
@@ -109,15 +90,9 @@ class Field3D:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3:
             raise ValueError("Field3D expects a 3D array")
-        _check_finite(v, "Field3D")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("Field3D contains non-finite values")
         object.__setattr__(self, "values", v)
-
-
-def _lateral_values(f, grid: Grid) -> np.ndarray:
-    v = f.values if isinstance(f, Field2D) else np.asarray(f, dtype=float)
-    if v.shape != grid.lateral_shape:
-        raise ValueError(f"lateral field shape {v.shape} != grid {grid.lateral_shape}")
-    return v
 
 
 def _volume_values(f, grid: Grid) -> np.ndarray:
@@ -125,23 +100,6 @@ def _volume_values(f, grid: Grid) -> np.ndarray:
     if v.shape != grid.volume_shape:
         raise ValueError(f"volume field shape {v.shape} != grid {grid.volume_shape}")
     return v
-
-
-def integrate_lateral(f, grid: Grid) -> float:
-    """Node-rule integral over the cross-section (zero Dirichlet extension).
-
-    Summation order is fixed (C-order over nodes) for bitwise reproducibility.
-    """
-    v = _lateral_values(f, grid)
-    return float(np.sum(v) * grid.hy1 * grid.hy2)
-
-
-def integrate_z(profile, grid: Grid) -> float:
-    """Trapezoid integral of a z-profile sampled on the closed node set."""
-    p = np.asarray(profile, dtype=float)
-    if p.shape != (grid.nz + 1,):
-        raise ValueError(f"z-profile length {p.shape} != {(grid.nz + 1,)}")
-    return float(np.sum(p * grid.z_weights()))
 
 
 def l2_norm_volume(f, grid: Grid) -> float:

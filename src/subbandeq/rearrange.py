@@ -121,11 +121,6 @@ def pair_casimir(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -> flo
     return float(bsum * grid.hy1 * grid.hy2)
 
 
-def pair_density(pair: AdmissiblePair, grid: Grid) -> Field3D:
-    """Total density rho(x) = sum_j rho_{f_j}(y) chi_j(x)^2 on closed z-nodes."""
-    return Field3D(band_sum_density(band_densities(pair), pair.chi))
-
-
 def velocity_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
     """sum_j int (|v|^2/2) f_j dy dv."""
     u = 0.5 * pair.vgrid.r**2
@@ -213,8 +208,3 @@ def joint_band_densities(pair: AdmissiblePair, order: np.ndarray) -> np.ndarray:
     f_perm = np.take_along_axis(pair.f, order, axis=2)
     onehot = order[..., None] == np.arange(pair.J)
     return np.einsum("abjv,abjvi,v->abi", f_perm, onehot, pair.vgrid.weights)
-
-
-def joint_density_through(pair: AdmissiblePair, order: np.ndarray, grid: Grid) -> Field3D:
-    """Total density of the jointly permuted pair (see joint_band_densities)."""
-    return Field3D(band_sum_density(joint_band_densities(pair, order), pair.chi))

@@ -63,10 +63,6 @@ class SubbandSpectrum:
     def J(self) -> int:
         return self.lam.shape[2]
 
-    def chi_closed(self) -> np.ndarray:
-        """Modes on the closed z-node set, zeros prepended/appended."""
-        return zero_extend(self.chi)
-
     def validate(self, grid: Grid) -> None:
         if self.lam.shape[:2] != grid.lateral_shape or self.chi.shape[3] != grid.nz - 1:
             raise ValueError("spectrum shape does not match grid")

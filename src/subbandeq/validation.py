@@ -3,7 +3,7 @@
 Three self-contained studies used by the command line and the test suite:
 eigenvalues of the free slice Hamiltonian against their closed form, grid
 convergence of the Poisson solve on a manufactured solution, and the
-occupancy profiles against adaptive quadrature.
+occupancy profiles against tanh-sinh quadrature.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def poisson_convergence_study(resolutions=(16, 32, 64)) -> dict:
 def profile_study(
     a_values=None, temperatures=(0.0, 0.1, 1.0), exponents=(1.5, 2.0, 3.0)
 ) -> dict:
-    """Closed-form occupancy profiles against adaptive quadrature."""
+    """Closed-form occupancy profiles against tanh-sinh quadrature."""
     if a_values is None:
         a_values = np.linspace(-1.0, 10.0, 45)
     worst = 0.0

@@ -60,9 +60,10 @@ def test_runtime_without_scipy(tmp_path):
         "sys.modules['scipy'] = None\n"
         "from subbandeq.cli import main\n"
         "runs = (['solve'], ['sweep', '--param', 'M', '--values', '0.5,1'], ['verify'])\n"
-        f"print([main(argv + ['--config', {cfg!r}, '--out', {out!r}]) for argv in runs])\n"
+        f"runs = [argv + ['--config', {cfg!r}] for argv in runs] + [['validate']]\n"
+        f"print([main(argv + ['--out', {out!r}]) for argv in runs])\n"
     )
-    assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0]"
+    assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 class TestWriteCsv:
@@ -202,6 +203,15 @@ class TestSolve:
         }
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode(), name
+
+    def test_entropy_power_near_one_converges(self, tmp_path):
+        # q = 1/(p - 1) = 1000: the gap profiles must not form T^q or a^q
+        cfg = write_config(tmp_path, {**FAST, "T": 0.2, "beta_p": 1.001})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        assert state["converged"] is True
+        assert state["mass"] == pytest.approx(0.5, rel=1e-8)
 
     def test_nonconvergence_exit_2_with_trace(self, tmp_path):
         cfg = write_config(tmp_path, {**FAST, "max_outer": 1})

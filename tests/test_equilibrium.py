@@ -9,17 +9,17 @@ import pytest
 import subbandeq
 from subbandeq.equilibrium import (
     SolverConfig,
-    active_subband_count,
     assemble_density,
     choose_J_max,
     external_potential,
     make_state,
     solve_equilibrium,
 )
-from subbandeq.grid import Field3D, Grid, integrate_z, l2_norm_volume
+from subbandeq.grid import Field3D, Grid, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import gradient_distance, dirichlet_energy
 from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
+from subbandeq.verify import check_subband_structure
 
 
 def free_spectrum(grid, J):
@@ -109,7 +109,7 @@ class TestAssembleDensity:
         rho_j, rho = assemble_density(spec, mu, OccupancyModel(T=0.3, p=2.0), g)
         for i in range(5):
             for k in range(5):
-                marginal = integrate_z(rho.values[i, k], g)
+                marginal = np.sum(rho.values[i, k] * g.z_weights())
                 assert marginal == pytest.approx(np.sum(rho_j[i, k]), rel=1e-10)
 
     def test_density_nonnegative(self):
@@ -376,16 +376,16 @@ class TestActiveSubbands:
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
         state = make_state(spec, float(np.min(spec.lam)) - 1.0, g, OccupancyModel(T=0.0))
-        j_act, bound = active_subband_count(state)
-        assert j_act == 0
+        r = check_subband_structure(state)
+        assert r.passed and r.lhs == 0
 
     def test_bound_on_converged_state(self):
         cfg = SolverConfig(
             M_target=1.0, grid=Grid(8, 8, 16), vext_kind="zwell", fp_tol=1e-9
         )
         state, _ = solve_equilibrium(cfg)
-        j_act, bound = active_subband_count(state)
-        assert j_act >= 1 and j_act < bound
+        r = check_subband_structure(state)
+        assert r.passed and 1 <= r.lhs < r.rhs
         # any band whose continuum floor pi^2 j^2 / 6 already exceeds mu is empty
         for j in range(1, state.spectrum.J + 1):
             if np.pi**2 * j**2 / 6.0 >= state.mu:
@@ -396,9 +396,9 @@ class TestActiveSubbands:
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
         state = make_state(spec, 5.0, g, OccupancyModel(T=0.0))
-        j_act, bound = active_subband_count(state)
-        assert bound == pytest.approx(np.sqrt(15.0) / np.pi + 1.0)
-        assert j_act <= 1
+        r = check_subband_structure(state)
+        assert r.rhs == pytest.approx(np.sqrt(15.0) / np.pi + 1.0)
+        assert r.passed and r.lhs <= 1
 
 
 class TestExternalPotential:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from subbandeq.grid import Field2D, Field3D, Grid, integrate_lateral, integrate_z
-
-
-def trapezoid_2d(f, x, y):
-    """Independent oracle: tensor trapezoid on the closed lateral grid."""
-    return np.trapezoid(np.trapezoid(f, y, axis=1), x)
+from subbandeq.grid import Field3D, Grid, l2_norm_volume
 
 
 class TestGrid:
@@ -32,60 +27,34 @@ class TestGrid:
 class TestFields:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            Field2D(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
             Field3D(np.full((2, 2, 5), np.inf))
+        with pytest.raises(ValueError):
+            Field3D(np.array([[[1.0, np.nan, 0.0, 1.0, 0.0]]]))
 
     def test_shape_mismatch(self):
         g = Grid(4, 4, 8)
         with pytest.raises(ValueError):
-            integrate_lateral(Field2D(np.ones((3, 4))), g)
+            l2_norm_volume(Field3D(np.ones((3, 4, 9))), g)
         with pytest.raises(ValueError):
-            integrate_z(np.ones(5), g)
+            l2_norm_volume(np.ones((4, 4, 8)), g)
 
 
 class TestIntegrateLateral:
-    def test_zero(self):
-        g = Grid(8, 8, 8)
-        assert integrate_lateral(np.zeros((8, 8)), g) == 0.0
-
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_constant_one(self, n):
-        # node rule with zero extension: n^2 h^2 = (n/(n+1))^2 on the unit square
+        # node rule with zero extension integrates 1 to n^2 h^2 = (n/(n+1))^2 on the unit square
         g = Grid(n, n, 8)
-        expected = (n / (n + 1)) ** 2
-        assert integrate_lateral(np.ones((n, n)), g) == pytest.approx(expected, rel=1e-14)
-
-    def test_linear_against_trapezoid_oracle(self):
-        # int y1 over the unit square is 1/2; node rule carries an O(h) boundary error
-        for n in (16, 32, 64):
-            g = Grid(n, n, 8)
-            y1 = g.y1_nodes()[:, None] * np.ones((1, n))
-            x = np.concatenate([[0.0], g.y1_nodes(), [1.0]])
-            fc = x[:, None] * np.ones((1, n + 2))
-            oracle = trapezoid_2d(fc, x, x)
-            assert oracle == pytest.approx(0.5, abs=1e-12)
-            err = abs(integrate_lateral(y1, g) - 0.5)
-            assert err <= 1.5 * g.hy1
-
-    def test_linearity(self):
-        g = Grid(6, 7, 8)
-        rng = np.random.default_rng(1)
-        f1 = rng.standard_normal(g.lateral_shape)
-        f2 = rng.standard_normal(g.lateral_shape)
-        lhs = integrate_lateral(2.5 * f1 - 1.25 * f2, g)
-        rhs = 2.5 * integrate_lateral(f1, g) - 1.25 * integrate_lateral(f2, g)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+        assert g.lateral_area() == pytest.approx((n / (n + 1)) ** 2, rel=1e-14)
 
 
 class TestIntegrateZ:
     def test_constant(self):
         g = Grid(4, 4, 16)
-        assert integrate_z(np.ones(17), g) == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(np.ones(17) * g.z_weights()) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_exact(self):
         g = Grid(4, 4, 16)
-        assert integrate_z(g.z_nodes(), g) == pytest.approx(0.5, abs=1e-15)
+        assert np.sum(g.z_nodes() * g.z_weights()) == pytest.approx(0.5, abs=1e-15)
 
     def test_sin_squared_second_order(self):
         # int sin^2(pi z) dz = 1/2; refined trapezoid as oracle
@@ -93,7 +62,7 @@ class TestIntegrateZ:
         for nz in (16, 32, 64):
             g = Grid(4, 4, nz)
             p = np.sin(np.pi * g.z_nodes()) ** 2
-            errors.append(abs(integrate_z(p, g) - 0.5))
+            errors.append(abs(np.sum(p * g.z_weights()) - 0.5))
         # sin^2 is resolved superconvergently by the trapezoid rule; just
         # require at least second-order decay
         if errors[0] > 1e-14:

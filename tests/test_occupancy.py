@@ -52,8 +52,9 @@ class TestOccupationLaw:
 
     def test_range_and_monotonicity(self):
         s = np.linspace(-2, 5, 301)
+        # p = 1.002: (s/T)^500 overflows unless s/T is clamped before the power
         for model in (OccupancyModel(T=0.0), OccupancyModel(T=0.3, p=1.5),
-                      OccupancyModel(T=1.0, p=3.0)):
+                      OccupancyModel(T=1.0, p=3.0), OccupancyModel(T=0.2, p=1.002)):
             vals = model.occupancy(s)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
             assert np.all(np.diff(vals) >= -1e-15)
@@ -96,7 +97,7 @@ class TestProfiles:
             assert np.all(model.profile_k(a[pos]) <= a[pos] * g[pos] + 1e-14)
 
     @pytest.mark.parametrize("T", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0])
     def test_closed_forms_match_quadrature(self, T, p):
         model = OccupancyModel(T=T, p=p)
         for a in np.linspace(-1.0, 10.0, 23):

@@ -9,16 +9,15 @@ from subbandeq.rearrange import (
     band_densities,
     is_energy_sorted,
     is_occupation_sorted,
-    joint_density_through,
+    joint_band_densities,
     occupation_sort_permutation,
     pair_casimir,
-    pair_density,
     pair_mass,
     rayleigh_energies,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import profile_kinetic_energy, zero_extend
+from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, zero_extend
 from subbandeq.verify import random_test_pair
 
 GRID = Grid(4, 4, 24)
@@ -114,8 +113,8 @@ class TestEnergySort:
             assert abs(
                 pair_casimir(out, GRID, model) - pair_casimir(pair, GRID, model)
             ) <= 1e-12
-            d0 = pair_density(pair, GRID).values
-            d1 = pair_density(out, GRID).values
+            d0 = band_sum_density(band_densities(pair), pair.chi)
+            d1 = band_sum_density(band_densities(out), out.chi)
             assert np.max(np.abs(d1 - d0)) <= 1e-12 * max(1.0, np.max(np.abs(d0)))
 
     def test_idempotent(self):
@@ -155,20 +154,20 @@ class TestOccupationSort:
         for seed in range(3):
             pair = random_test_pair(GRID, 3, VGRID, seed + 50)
             order = occupation_sort_permutation(pair)
-            joint = joint_density_through(pair, order, GRID).values
-            plain = pair_density(pair, GRID).values
+            joint = band_sum_density(joint_band_densities(pair, order), pair.chi)
+            plain = band_sum_density(band_densities(pair), pair.chi)
             assert np.max(np.abs(joint - plain)) <= 1e-12 * max(1.0, np.max(plain))
 
     def test_joint_density_follows_order(self):
         # band 0 standing in for band 1 at every point: the joint density
-        # counts mode 0 twice and mode 1 never, so it must leave pair_density,
+        # counts mode 0 twice and mode 1 never, so it must leave the plain density,
         # exactly as the speed-node loop does
         pair = random_test_pair(GRID, 3, VGRID, seed=53)
         order = occupation_sort_permutation(pair)
         broken = np.where(order == 1, 0, order)
-        plain = pair_density(pair, GRID).values
+        plain = band_sum_density(band_densities(pair), pair.chi)
         for o in (order, broken):
-            joint = joint_density_through(pair, o, GRID).values
+            joint = band_sum_density(joint_band_densities(pair, o), pair.chi)
             assert np.max(np.abs(joint - joint_density_loop(pair, o))) <= 1e-13 * np.max(plain)
         assert np.max(np.abs(joint - plain)) > 1e-3 * np.max(plain)
 

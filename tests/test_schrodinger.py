@@ -10,7 +10,7 @@ import pytest
 
 import subbandeq
 
-from subbandeq.grid import Grid, integrate_z
+from subbandeq.grid import Grid
 from subbandeq.schrodinger import (
     _EPS,
     SubbandSpectrum,
@@ -23,6 +23,7 @@ from subbandeq.schrodinger import (
     solve_slice,
     sine_modes,
     solve_slices,
+    zero_extend,
 )
 
 
@@ -86,7 +87,7 @@ class TestSolveSlice:
         full = np.zeros((6, g.nz + 1))
         full[:, 1:-1] = chi
         for j in range(6):
-            assert integrate_z(full[j] ** 2, g) == pytest.approx(1.0, abs=1e-10)
+            assert np.sum(full[j] ** 2 * g.z_weights()) == pytest.approx(1.0, abs=1e-10)
 
     def test_residual_and_orthogonality(self):
         g = Grid(2, 2, 64)
@@ -175,7 +176,7 @@ class TestSolveSlices:
     def test_chi_closed_pads_zeros(self):
         g = Grid(2, 2, 16)
         spec = solve_slices(np.zeros((2, 2, g.nz - 1)), 2, g)
-        full = spec.chi_closed()
+        full = zero_extend(spec.chi)
         assert full.shape == (2, 2, 2, g.nz + 1)
         assert np.all(full[..., 0] == 0.0) and np.all(full[..., -1] == 0.0)
 

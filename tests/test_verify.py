@@ -7,12 +7,12 @@ from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import solve_poisson
 from subbandeq.rearrange import (
     RadialGrid,
-    pair_density,
+    band_densities,
     pair_free_energy,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import profile_kinetic_energy, sine_modes
+from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes
 from subbandeq.verify import (
     check_coercivity,
     check_energy_agreement,
@@ -161,7 +161,7 @@ def _assert_pair_quadrature(base):
     """F and U of the base are those of its own pair, to rounding."""
     F, _ = pair_free_energy(base.pair, GRID, base.model, vext=base.vext)
     assert base.F == pytest.approx(F, rel=1e-12)
-    U = solve_poisson(pair_density(base.pair, GRID), GRID).values
+    U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID).values
     assert np.max(np.abs(base.U.values - U)) <= 1e-12 * np.max(np.abs(U))
 
 
