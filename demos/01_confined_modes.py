@@ -9,7 +9,7 @@ the potential moves each eigenvalue by at most the sup-norm of the change.
 import numpy as np
 
 from subbandeq import Grid, solve_slice
-from subbandeq.schrodinger import eigenvalue_stability_gap, free_mode_eigenvalue
+from subbandeq.schrodinger import free_mode_eigenvalue
 
 # --- free well: closed-form check and continuum limit -------------------------
 
@@ -35,10 +35,11 @@ print("\nEigenvalue shifts under random bounded perturbations (J = 5):")
 rng = np.random.default_rng(7)
 g = Grid(2, 2, 64)
 W = rng.uniform(0.0, 8.0, g.nz - 1)
+lam_W, _ = solve_slice(W, 5, g)
 print("  sup |delta W|   max_j |lambda shift|   L1 |delta W|")
 for amp in (0.5, 0.1, 0.02):
     delta = rng.uniform(-amp, amp, g.nz - 1)
-    gaps = eigenvalue_stability_gap(W, W + delta, 5, g)
+    gaps = np.abs(solve_slice(W + delta, 5, g)[0] - lam_W)
     sup = np.max(np.abs(delta))
     l1 = g.hz * np.sum(np.abs(delta))
     # the sup-norm bound is sharp and assertable; the L1 norm is reported

@@ -9,15 +9,17 @@ Four families of checks certify what the theory promises:
   two-mode rotations (the engine behind uniqueness);
 * the stability gap: half the squared field-gradient distance stays below
   (1 + mu) times the free-energy/mass offset of the perturbation.
+
+check_perturbation evaluates each perturbed pair once and returns the
+coercivity and stability-gap reports together.
 """
 
 from subbandeq import Grid, OccupancyModel, SolverConfig, solve_equilibrium
 from subbandeq.equilibrium import external_potential
 from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
 from subbandeq.verify import (
-    check_coercivity,
     check_mu_bound,
-    check_stability_gap,
+    check_perturbation,
     check_weighted_l1,
     grid_consistent_base,
     mode_rotation,
@@ -57,7 +59,7 @@ cases = [("bump eps=1e-1", occupation_bump(base, 1e-1, seed=1)),
          ("rotation 0.1", mode_rotation(base, 0.1)),
          ("rotation 0.2", mode_rotation(base, 0.2))]
 for label, pert in cases:
-    rc = check_coercivity(base, pert)
+    rc, _ = check_perturbation(base, pert)
     print(
         f"  {label:14s}: F excess = {rc.lhs:+.4e}  >=  gap + multiplier term"
         f" = {rc.rhs:+.4e}   [{'ok' if rc.passed else 'VIOLATED'}]"
@@ -65,7 +67,7 @@ for label, pert in cases:
 
 print("\nStability gap across shrinking perturbations:")
 for eps in (1e-1, 1e-2, 1e-3):
-    rs = check_stability_gap(base, occupation_bump(base, eps, seed=5))
+    _, rs = check_perturbation(base, occupation_bump(base, eps, seed=5))
     print(
         f"  eps = {eps:g}: (1/2)|grad dU|^2 = {rs.lhs:.3e}"
         f"  <=  (1+mu) delta = {rs.rhs:.3e}"

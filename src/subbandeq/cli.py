@@ -154,7 +154,7 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
             "mu": state.mu,
             "J_active": state.j_active,
             "free_energy": state.energy.as_dict(),
-            "residual": trace.residuals[-1] if trace.residuals else None,
+            "residual": trace.final_residual,
             "iterations": trace.iterations,
             "converged": trace.converged,
             "mass": state.mass(grid),

@@ -14,7 +14,7 @@ accelerated trial that raises the (directly evaluated) free energy clears
 the history and is replaced by the plain damped step, and a damped step
 that raises it is retried with theta halved.  So the recorded free energy
 is nonincreasing after the first accepted step; only a step taken at
-theta_min may raise it, and the trace counts those steps and the rejected
+THETA_MIN may raise it, and the trace counts those steps and the rejected
 accelerated trials.  The loop stops at the first cycle whose map residual
 ||G(U) - U|| / (1 + ||U||) meets the tolerance, so the certificate does not
 depend on theta.  fixed_point runs the loop for any object with the gap
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,11 +42,14 @@ from .schrodinger import (
 )
 
 VEXT_KINDS = ("zero", "zwell", "bump")
-INIT_KINDS = ("zero", "random", "supplied")
+INIT_KINDS = ("zero", "random")
 
 # Relative noise floor of one free-energy evaluation; free-energy increases
 # below it do not trigger damping and the recorded trace is monotone up to it.
 ENERGY_NOISE_REL = 1e-8
+
+# Smallest damping factor; a damped step at it is accepted even if F rises.
+THETA_MIN = 1e-3
 
 # Accepted steps the Anderson history spans.  It holds two volume vectors per
 # step; on the benchmark solves depths 1, 2, 3 and 5 took 85, 74, 65 and 62
@@ -73,8 +75,6 @@ class SolverConfig:
     j_margin: int = 2
     init_kind: str = "zero"
     init_seed: int = 0
-    init_potential: Optional[Field3D] = None
-    theta_min: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 < self.M_target < np.inf:
@@ -89,8 +89,6 @@ class SolverConfig:
             raise ValueError(f"unknown external potential kind {self.vext_kind!r}")
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"unknown initial potential kind {self.init_kind!r}")
-        if self.init_kind == "supplied" and self.init_potential is None:
-            raise ValueError("init_kind 'supplied' needs init_potential")
 
 
 def external_potential(cfg: SolverConfig) -> Field3D:
@@ -240,11 +238,12 @@ class IterationTrace:
 
     residuals: list = field(default_factory=list)
     mus: list = field(default_factory=list)
-    j_active: list = field(default_factory=list)
     free_energies: list = field(default_factory=list)
     thetas: list = field(default_factory=list)
     converged: bool = False
-    # Steps accepted at theta_min although they raised the free energy.
+    # Map residual of the returned cycle, also when no step was taken.
+    final_residual: float = math.nan
+    # Steps accepted at THETA_MIN although they raised the free energy.
     theta_min_rises: int = 0
     # Accelerated trials that raised the free energy and gave way to a damped step.
     anderson_rejections: int = 0
@@ -253,10 +252,9 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.residuals)
 
-    def append(self, residual, mu, j_act, F, theta):
+    def append(self, residual, mu, F, theta):
         self.residuals.append(float(residual))
         self.mus.append(float(mu))
-        self.j_active.append(int(j_act))
         self.free_energies.append(float(F))
         self.thetas.append(float(theta))
 
@@ -313,14 +311,6 @@ def _evaluate_cycle(
     spectrum = solve_slices(W, J, grid, modes)
     mu = solve_mu(cfg.M_target, spectrum, grid, cfg.model, mu_guess=mu_guess)
     return _Cycle(U_in, make_state(spectrum, mu, grid, cfg.model, vext))
-
-
-def _initial_potential(cfg: SolverConfig) -> Field3D:
-    if cfg.init_kind == "zero":
-        return Field3D(np.zeros(cfg.grid.volume_shape))
-    if cfg.init_kind == "random":
-        return random_smooth_potential(cfg.grid, cfg.init_seed)
-    return cfg.init_potential
 
 
 def _map_residual(cyc: _Cycle, grid: Grid) -> float:
@@ -383,7 +373,8 @@ def fixed_point(
     spectrum into a mass, a density and a free energy.  Stops at the first
     cycle, the starting one included, whose map residual is at most
     cfg.fp_tol, or after cfg.max_outer accepted steps; returns the state
-    of that cycle and one trace row per accepted step.
+    of that cycle and one trace row per accepted step.  trace.final_residual
+    is the returned cycle's map residual.
     """
     grid = cfg.grid
     trace = IterationTrace()
@@ -406,15 +397,15 @@ def fixed_point(
                 history.pairs.clear()
                 trace.anderson_rejections += 1
                 continue
-            if theta <= cfg.theta_min:
+            if theta <= THETA_MIN:
                 trace.theta_min_rises += 1
                 break
             theta *= 0.5
         history.push(cyc, nxt)
         cyc = nxt
         residual = _map_residual(cyc, grid)
-        new = cyc.state
-        trace.append(residual, new.mu, new.j_active, new.energy.total_direct, theta)
+        trace.append(residual, cyc.state.mu, cyc.state.energy.total_direct, theta)
+    trace.final_residual = residual
     trace.converged = residual <= cfg.fp_tol
     return cyc.state, trace
 
@@ -428,4 +419,8 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
     mass and density-assembly identities; the residual certifies
     Schrodinger-Poisson consistency.
     """
-    return fixed_point(_initial_potential(cfg), cfg, external_potential(cfg))
+    if cfg.init_kind == "zero":
+        U0 = Field3D(np.zeros(cfg.grid.volume_shape))
+    else:
+        U0 = random_smooth_potential(cfg.grid, cfg.init_seed)
+    return fixed_point(U0, cfg, external_potential(cfg))

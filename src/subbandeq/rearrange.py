@@ -1,12 +1,11 @@
 """Band-index rearrangements of general admissible pairs.
 
-An admissible pair holds J kinetic occupations f_j(y, |v|) sampled on a radial
-speed grid together with per-slice orthonormal z-modes chi_j and their
-Rayleigh energies for a supplied slice potential.  Two slice-wise
-permutations of the band index matter:
+An admissible pair (f, chi) holds J kinetic occupations f_j(y, |v|) sampled
+on a radial speed grid together with per-slice orthonormal z-modes chi_j.
+Two slice-wise permutations of the band index matter:
 
 * sorting bands so the confined kinetic energies |d chi_j/dz|^2 do not
-  decrease in j (permutes occupations, modes and energies together), and
+  decrease in j (permutes occupations and modes together), and
 * sorting the occupations at every (y, speed) point so f_j does not
   increase in j (the permutation depends on the velocity, so only f moves;
   functionals that pair f_j with mode-dependent weights stay invariant
@@ -29,9 +28,7 @@ from .schrodinger import (
     band_sum_density,
     confined_kinetic,
     external_pairing,
-    mode_expectations,
     profile_kinetic_energy,
-    zero_extend,
 )
 
 
@@ -66,18 +63,16 @@ class AdmissiblePair:
 
     f:   (ny1, ny2, J, nv) occupations in [0, 1]
     chi: (ny1, ny2, J, nz-1) interior z-samples, orthonormal per slice
-    h:   (ny1, ny2, J) Rayleigh energies of chi for the supplied potential
     """
 
     f: np.ndarray
     chi: np.ndarray
-    h: np.ndarray
     vgrid: RadialGrid
 
     def __post_init__(self):
-        if self.f.ndim != 4 or self.chi.ndim != 4 or self.h.ndim != 3:
+        if self.f.ndim != 4 or self.chi.ndim != 4:
             raise ValueError("admissible pair arrays have wrong rank")
-        if self.f.shape[:3] != self.chi.shape[:3] or self.f.shape[:3] != self.h.shape:
+        if self.f.shape[:3] != self.chi.shape[:3]:
             raise ValueError("admissible pair arrays disagree on (ny1, ny2, J)")
         if self.f.shape[3] != self.vgrid.n_nodes:
             raise ValueError("occupations do not match the radial grid")
@@ -92,15 +87,6 @@ class AdmissiblePair:
         gram = grid.hz * np.einsum("abjz,abkz->abjk", self.chi, self.chi)
         if np.max(np.abs(gram - np.eye(self.J))) > 1e-8:
             raise ValueError("modes are not orthonormal per slice")
-
-
-def rayleigh_energies(chi: np.ndarray, W, grid: Grid) -> np.ndarray:
-    """<(-(1/2) d^2/dz^2 + W) chi_j, chi_j> per slice and band.
-
-    W: slice potential on interior z-nodes, shape (ny1, ny2, nz-1) or (nz-1,).
-    """
-    W = zero_extend(np.broadcast_to(np.asarray(W, dtype=float), chi.shape[:2] + chi.shape[3:]))
-    return 0.5 * profile_kinetic_energy(chi, grid) + mode_expectations(W, chi, grid)
 
 
 # ---- functionals of a pair ---------------------------------------------------
@@ -159,15 +145,14 @@ def pair_free_energy(
 def rearrange_energy_increasing(pair: AdmissiblePair, grid: Grid) -> AdmissiblePair:
     """Per slice, permute bands so |d chi_j/dz|^2 is nondecreasing in j.
 
-    Occupations, modes and Rayleigh energies move together.  Stable sort
-    with index tie-break, hence deterministic under equal energies.
+    Occupations and modes move together.  Stable sort with index
+    tie-break, hence deterministic under equal energies.
     """
     k = profile_kinetic_energy(pair.chi, grid)
     order = np.argsort(k, axis=2, kind="stable")
     f = np.take_along_axis(pair.f, order[..., None], axis=2)
     chi = np.take_along_axis(pair.chi, order[..., None], axis=2)
-    h = np.take_along_axis(pair.h, order, axis=2)
-    return replace(pair, f=f, chi=chi, h=h)
+    return replace(pair, f=f, chi=chi)
 
 
 def occupation_sort_permutation(pair: AdmissiblePair) -> np.ndarray:
@@ -179,7 +164,7 @@ def rearrange_occupation_decreasing(pair: AdmissiblePair) -> AdmissiblePair:
     """Sort the J occupations nonincreasing at every (y, speed) point.
 
     The permutation varies with the speed, so only f is reordered; modes
-    and energies keep their band labels.
+    keep their band labels.
     """
     order = occupation_sort_permutation(pair)
     f = np.take_along_axis(pair.f, order, axis=2)

@@ -281,14 +281,3 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
         lam[blk] = l.reshape(-1, ny2, J)
         chi[blk] = c.reshape(-1, ny2, J, n)
     return SubbandSpectrum(lam=lam, chi=chi)
-
-
-def eigenvalue_stability_gap(W1, W2, J: int, grid: Grid) -> np.ndarray:
-    """Per-band eigenvalue shifts |lam_j[W1] - lam_j[W2]| for two slice potentials.
-
-    By the min-max principle the shifts are bounded by max |W1 - W2|; the
-    caller asserts that.
-    """
-    lam1, _ = solve_slice(W1, J, grid)
-    lam2, _ = solve_slice(W2, J, grid)
-    return np.abs(lam1 - lam2)

@@ -5,14 +5,14 @@ Assertions only use constants the theory states explicitly (3/pi^2, 6/pi^2,
 ratio families instead of asserted.  All randomized inputs come from a
 seeded generator, so every report is reproducible.
 
-The coercivity and stability-gap checks compare a perturbed pair against a
-base pair that is re-converged under the same radial-grid quadrature used
-for the perturbation.  Mixing the exact profile integrals of the solver
-with grid sums would inject quadrature mismatch far above the asserted
-slack; with one consistent quadrature the inequalities hold to solver
-tolerance, which is what gets verified.  The base comes from the solver's
-own fixed-point loop, run with speed-grid gap profiles in place of the
-closed forms.
+check_perturbation evaluates a perturbed pair once and reports both
+coercivity and the stability gap against a base pair that is re-converged
+under the same radial-grid quadrature used for the perturbation.  Mixing
+the exact profile integrals of the solver with grid sums would inject
+quadrature mismatch far above the asserted slack; with one consistent
+quadrature the inequalities hold to solver tolerance, which is what gets
+verified.  The base comes from the solver's own fixed-point loop, run with
+speed-grid gap profiles in place of the closed forms.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .rearrange import (
     pair_casimir,
     pair_free_energy,
     pair_mass,
-    rayleigh_energies,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
     velocity_kinetic,
@@ -96,9 +95,11 @@ def random_test_pair(
     Modes are per-slice orthogonal mixes of sine modes (orthonormality is
     inherited exactly), from one stacked QR of seeded normal matrices;
     occupations are smooth seeded bumps clipped to [0, 1] that taper to zero
-    at the edge of the speed grid.  Energies are the Rayleigh quotients for
-    W = 0.
+    at the edge of the speed grid.  J may be at most nz - 1: sine mode nz
+    vanishes at every interior node.
     """
+    if not 1 <= J <= grid.nz - 1:
+        raise ValueError(f"J = {J} modes need 1 <= J <= nz - 1 = {grid.nz - 1}")
     rng = np.random.default_rng(seed)
     ny1, ny2 = grid.lateral_shape
     q, _ = np.linalg.qr(rng.standard_normal((ny1, ny2, J, J)))
@@ -117,8 +118,7 @@ def random_test_pair(
         )
         radial = np.exp(-((r - r0) ** 2) / (2 * width**2)) * taper
         f[:, :, j, :] = amp * np.abs(lateral)[..., None] * radial[None, None, :]
-    h = rayleigh_energies(chi, np.zeros(grid.nz - 1), grid)
-    return AdmissiblePair(f=np.clip(f, 0.0, 1.0), chi=chi, h=h, vgrid=vgrid)
+    return AdmissiblePair(f=np.clip(f, 0.0, 1.0), chi=chi, vgrid=vgrid)
 
 
 def speed_grid_for(mu: float, lam_min: float) -> RadialGrid:
@@ -223,12 +223,13 @@ def check_kinetic_interpolation(pair: AdmissiblePair, s: float, grid: Grid) -> C
 class GridBase:
     """Equilibrium structure re-converged under radial-grid quadrature.
 
-    pair carries the ansatz occupations sampled on the speed grid, with the
-    eigenvalues of the matching slice Hamiltonians as its energies h; U is
-    the potential of the pair's own (grid-quadrature) density.
+    pair carries the ansatz occupations sampled on the speed grid and the
+    modes of the matching slice Hamiltonians, whose eigenvalues are lam; U
+    is the potential of the pair's own (grid-quadrature) density.
     """
 
     pair: AdmissiblePair
+    lam: np.ndarray
     U: Field3D
     mu: float
     F: float
@@ -326,9 +327,10 @@ def grid_consistent_base(
         )
     spec = base.spectrum
     f = _base_occupations(model, base.mu - spec.lam, vgrid)
-    pair = AdmissiblePair(f=f, chi=spec.chi, h=spec.lam, vgrid=vgrid)
+    pair = AdmissiblePair(f=f, chi=spec.chi, vgrid=vgrid)
     return GridBase(
         pair=pair,
+        lam=spec.lam,
         U=base.U,
         mu=base.mu,
         F=base.energy.total_direct,
@@ -367,7 +369,7 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
         fractional = np.any((f0 > 0.0) & (f0 < 1.0), axis=2, keepdims=True)
         g = np.where(fractional, 0.0, g)
     f = np.clip(base.pair.f + eps * g, 0.0, 1.0)
-    pert = AdmissiblePair(f=f, chi=base.pair.chi, h=base.pair.h, vgrid=vgrid)
+    pert = AdmissiblePair(f=f, chi=base.pair.chi, vgrid=vgrid)
     return rearrange_occupation_decreasing(pert)
 
 
@@ -378,9 +380,7 @@ def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
     chi = base.pair.chi.copy()
     chi[:, :, 0, :] = c * a + s * b
     chi[:, :, 1, :] = -s * a + c * b
-    W = (base.U.values + base.vext.values)[:, :, 1:-1]
-    h = rayleigh_energies(chi, W, base.grid)
-    return AdmissiblePair(f=base.pair.f.copy(), chi=chi, h=h, vgrid=base.pair.vgrid)
+    return AdmissiblePair(f=base.pair.f.copy(), chi=chi, vgrid=base.pair.vgrid)
 
 
 # ---- coercivity and stability ----------------------------------------------------
@@ -390,29 +390,32 @@ def _entropy_weight(base: GridBase) -> np.ndarray:
     """w(y, v, j) = |v|^2/2 + lambda_j(y) + T beta'(f_j(y, v)) for the base."""
     u = 0.5 * base.pair.vgrid.r**2
     slope = base.model.T * base.model.beta_prime(base.pair.f)
-    return u[None, None, None, :] + base.pair.h[..., None] + slope
+    return u[None, None, None, :] + base.lam[..., None] + slope
 
 
-def check_coercivity(base: GridBase, pert: AdmissiblePair) -> CheckReport:
-    """Free-energy excess dominates the field gap plus the multiplier term.
+def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckReport, CheckReport]:
+    """Coercivity and stability-gap reports of one perturbed pair.
 
-    pert must be occupation-sorted (use rearrange_occupation_decreasing);
-    slack is 1e-6 * (1 + |LHS|) absolute.
+    Coercivity: the free-energy excess dominates the field gap plus the
+    multiplier term, with slack 1e-6 * (1 + |LHS|) absolute.  Stability gap:
+    (1 + mu) * delta, delta = |F(pert) - F| + mu |M(pert) - M|, dominates
+    half the squared field gradient gap.  pert must be orthonormal and
+    occupation-sorted (use rearrange_occupation_decreasing).
     """
     if not is_occupation_sorted(pert):
         raise ValueError("perturbed pair must be occupation-sorted")
     pert.validate_orthonormal(base.grid)
     grid, model = base.grid, base.model
     F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
+    gap = 0.5 * dirichlet_energy(U_pert.values - base.U.values, grid)
     lhs = F_pert - base.F
     w = _entropy_weight(base)
     wsum = np.einsum(
         "abjv,abjv,v->", w, pert.f - base.pair.f, base.pair.vgrid.weights
     ) * grid.hy1 * grid.hy2
-    gap = 0.5 * dirichlet_energy(U_pert.values - base.U.values, grid)
     rhs = gap + float(wsum)
     tol = 1e-6 * (1.0 + abs(lhs))
-    return CheckReport(
+    coercivity = CheckReport(
         name="coercivity",
         passed=lhs >= rhs - tol,
         lhs=float(lhs),
@@ -420,26 +423,17 @@ def check_coercivity(base: GridBase, pert: AdmissiblePair) -> CheckReport:
         ratio=_ratio(rhs, lhs),
         details={"field_gap": float(gap), "multiplier_term": float(wsum)},
     )
-
-
-def check_stability_gap(base: GridBase, pert: AdmissiblePair) -> CheckReport:
-    """(1 + mu) * delta dominates half the squared field gradient gap,
-    with delta = |F(pert) - F| + mu |M(pert) - M|."""
-    if not is_occupation_sorted(pert):
-        raise ValueError("perturbed pair must be occupation-sorted")
-    grid, model = base.grid, base.model
-    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
     delta = abs(F_pert - base.F) + base.mu * abs(pair_mass(pert, grid) - base.mass)
-    gap = 0.5 * dirichlet_energy(U_pert.values - base.U.values, grid)
-    rhs = (1.0 + base.mu) * delta
-    return CheckReport(
+    bound = (1.0 + base.mu) * delta
+    stability = CheckReport(
         name="stability_gap",
-        passed=gap <= rhs * (1.0 + 1e-6),
+        passed=gap <= bound * (1.0 + 1e-6),
         lhs=float(gap),
-        rhs=float(rhs),
-        ratio=_ratio(gap, rhs),
+        rhs=float(bound),
+        ratio=_ratio(gap, bound),
         details={"delta": float(delta)},
     )
+    return coercivity, stability
 
 
 # ---- state-level checks -----------------------------------------------------------
@@ -496,7 +490,7 @@ def check_energy_agreement(state: EquilibriumState) -> CheckReport:
 
 def check_uniqueness(cfg: SolverConfig) -> CheckReport:
     """Pairwise gradient agreement of solves from the zero start and two seeded random ones."""
-    starts = [dc_replace(cfg, init_kind="zero", init_potential=None)]
+    starts = [dc_replace(cfg, init_kind="zero")]
     starts += [dc_replace(cfg, init_kind="random", init_seed=s) for s in (1, 2)]
     fields = []
     for c in starts:
@@ -598,7 +592,7 @@ def run_verification(
     ki_reports = []
     ri_reports = []
     for i in range(n_pairs):
-        pair = random_test_pair(grid, 4, vgrid, seed + i)
+        pair = random_test_pair(grid, min(4, grid.nz - 1), vgrid, seed + i)
         sorted_pair = rearrange_energy_increasing(pair, grid)
         wl_reports.append(check_weighted_l1(sorted_pair, grid, model))
         ki_reports.append(check_kinetic_interpolation(pair, 2.0, grid))
@@ -619,8 +613,7 @@ def run_verification(
     reports.append(_aggregate("rearrangement_invariance", ri_reports))
 
     base = grid_consistent_base(state, vext, grid, model)
-    co_reports = []
-    st_reports = []
+    perturbation_reports = []
     for i in range(n_perturbations):
         kind = i % 3
         if kind == 0:
@@ -629,10 +622,10 @@ def run_verification(
             pert = occupation_bump(base, 1e-2, seed + 100 + i)
         else:
             pert = mode_rotation(base, 0.05 + 0.01 * i)
-        co_reports.append(check_coercivity(base, pert))
-        st_reports.append(check_stability_gap(base, pert))
-    reports.append(_aggregate("coercivity", co_reports))
-    reports.append(_aggregate("stability_gap", st_reports))
+        perturbation_reports.append(check_perturbation(base, pert))
+    co_reports, st_reports = zip(*perturbation_reports)
+    reports.append(_aggregate("coercivity", list(co_reports)))
+    reports.append(_aggregate("stability_gap", list(st_reports)))
 
     reports.append(check_uniqueness(cfg))
     return reports

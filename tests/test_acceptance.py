@@ -26,10 +26,9 @@ from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
 from subbandeq.schrodinger import free_mode_eigenvalue, solve_slice
 from subbandeq.validation import manufactured_poisson_case
 from subbandeq.verify import (
-    check_coercivity,
     check_mu_bound,
+    check_perturbation,
     check_rearrangement_invariance,
-    check_stability_gap,
     check_subband_structure,
     check_uniqueness,
     check_weighted_l1,
@@ -264,7 +263,7 @@ def test_criterion_09_coercivity(small_bases):
             perts.append(mode_rotation(base, 0.02 * (i + 1)))
         for pert in perts:
             n_total += 1
-            if check_coercivity(base, pert).passed:
+            if check_perturbation(base, pert)[0].passed:
                 n_pass += 1
     report(9, "free-energy coercivity", n_pass == n_total, f"{n_pass}/{n_total} perturbations")
 
@@ -277,7 +276,7 @@ def test_criterion_10_stability_gap(small_bases):
             ratios = []
             for seed in range(5):
                 pert = occupation_bump(base, eps, seed=3000 + seed)
-                r = check_stability_gap(base, pert)
+                _, r = check_perturbation(base, pert)
                 ok = ok and r.passed
                 ratios.append(r.ratio)
             trend.append(f"T={T} eps={eps:g}: mean gap/bound {np.mean(ratios):.2e}")

@@ -125,6 +125,15 @@ class TestSolve:
         assert state["anderson_rejections"] == 0
         assert json.dumps(state, sort_keys=True, indent=2) + "\n" == raw
 
+    def test_converged_start_reports_its_residual(self, tmp_path):
+        # the zero start already meets fp_tol at this tiny mass: no step is taken
+        cfg = write_config(tmp_path, {"M_target": 1e-12, "grid": {"ny1": 6, "ny2": 6, "nz": 16}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        state = json.loads((out / "state.json").read_text())
+        assert state["converged"] is True and state["iterations"] == 0
+        assert isinstance(state["residual"], float) and state["residual"] <= 1e-8
+
     def test_theta_min_rises_noted_on_stderr(self, tmp_path, capsys, monkeypatch):
         import subbandeq.cli as cli
 

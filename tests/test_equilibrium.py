@@ -12,6 +12,7 @@ from subbandeq.equilibrium import (
     assemble_density,
     choose_J_max,
     external_potential,
+    fixed_point,
     make_state,
     solve_equilibrium,
 )
@@ -50,7 +51,6 @@ def _patch_map(monkeypatch, g, G, F, log=None):
             self.energy = FakeEnergy(F(U_in.values))
             if log is not None:
                 log.append((U_in.values.copy(), self.energy.total_direct))
-        j_active = 0
 
     class FakeCycle:
         def __init__(self, U_in):
@@ -258,11 +258,8 @@ class TestSolveEquilibrium:
         g = Grid(4, 4, 8)
         _patch_linear_map(monkeypatch, g, -1.5)
         U0 = Field3D(np.ones(g.volume_shape))
-        cfg = SolverConfig(
-            M_target=1.0, grid=g, theta=1.0, fp_tol=1e-10, max_outer=200,
-            init_kind="supplied", init_potential=U0,
-        )
-        state, trace = eq.solve_equilibrium(cfg)
+        cfg = SolverConfig(M_target=1.0, grid=g, theta=1.0, fp_tol=1e-10, max_outer=200)
+        state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
         assert trace.thetas[0] == 0.5  # halved once on the first rejected trial
         assert all(t == 0.5 for t in trace.thetas)
@@ -273,18 +270,17 @@ class TestSolveEquilibrium:
         # U -> U / 2 with free energy -|U|^2: every trial shrinks |U|, so
         # every trial raises F.  The accelerated trial (exact for a linear
         # map) gives way to the damped step, which halves theta down to
-        # theta_min and is then accepted with a rising free energy.
+        # THETA_MIN and is then accepted with a rising free energy.
+        import subbandeq.equilibrium as eq
+
         g = Grid(4, 4, 8)
         _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: -float(np.sum(U**2)))
-        cfg = SolverConfig(
-            M_target=1.0, grid=g, max_outer=3,
-            init_kind="supplied", init_potential=Field3D(np.ones(g.volume_shape)),
-        )
-        _, trace = solve_equilibrium(cfg)
+        cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
+        _, trace = fixed_point(Field3D(np.ones(g.volume_shape)), cfg, external_potential(cfg))
         assert not trace.converged
         assert trace.theta_min_rises == 3
         assert trace.anderson_rejections == 2  # no history before the first step
-        assert all(t <= cfg.theta_min for t in trace.thetas)
+        assert all(t <= eq.THETA_MIN for t in trace.thetas)
 
     def test_rejected_acceleration_falls_back_to_damped_step(self, monkeypatch):
         # U -> U - tanh(U) from U = 3: the residual is nearly flat there, so
@@ -295,11 +291,9 @@ class TestSolveEquilibrium:
         g = Grid(4, 4, 8)
         log = []
         _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: float(np.sum(U**2)), log)
-        cfg = SolverConfig(
-            M_target=1.0, grid=g, theta=0.5, fp_tol=1e-10, max_outer=100,
-            init_kind="supplied", init_potential=Field3D(np.full(g.volume_shape, 3.0)),
-        )
-        _, trace = eq.solve_equilibrium(cfg)
+        cfg = SolverConfig(M_target=1.0, grid=g, theta=0.5, fp_tol=1e-10, max_outer=100)
+        U0 = Field3D(np.full(g.volume_shape, 3.0))
+        _, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
         assert trace.anderson_rejections >= 1
         # replay the log: after each rejected trial the next one is the
@@ -325,11 +319,8 @@ class TestSolveEquilibrium:
         # the damping (a damped-step certificate overshoots it by 1/theta)
         g = Grid(4, 4, 8)
         _patch_linear_map(monkeypatch, g, 0.5)
-        cfg = SolverConfig(
-            M_target=1.0, grid=g, theta=theta, fp_tol=1e-6, max_outer=500,
-            init_kind="supplied", init_potential=Field3D(np.ones(g.volume_shape)),
-        )
-        state, trace = solve_equilibrium(cfg)
+        cfg = SolverConfig(M_target=1.0, grid=g, theta=theta, fp_tol=1e-6, max_outer=500)
+        state, trace = fixed_point(Field3D(np.ones(g.volume_shape)), cfg, external_potential(cfg))
         assert trace.converged
         assert l2_norm_volume(state.U, g) <= cfg.fp_tol
 
@@ -337,21 +328,18 @@ class TestSolveEquilibrium:
         g = Grid(6, 6, 16)
         base = dict(M_target=1.0, grid=g, vext_kind="zwell")
         state, _ = solve_equilibrium(SolverConfig(**base, fp_tol=1e-11))
-        again, trace = solve_equilibrium(
-            SolverConfig(**base, fp_tol=1e-9, init_kind="supplied", init_potential=state.U)
-        )
+        cfg = SolverConfig(**base, fp_tol=1e-9)
+        again, trace = fixed_point(state.U, cfg, external_potential(cfg))
         assert trace.converged
         assert trace.iterations == 0
+        assert trace.final_residual <= cfg.fp_tol
         assert again.mu == pytest.approx(state.mu, rel=1e-9)
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)
         U0 = Field3D(np.full(g.volume_shape, 0.3))
-        cfg = SolverConfig(
-            M_target=1.0, grid=g, vext_kind="zwell", fp_tol=1e-10,
-            init_kind="supplied", init_potential=U0,
-        )
-        state, trace = solve_equilibrium(cfg)
+        cfg = SolverConfig(M_target=1.0, grid=g, vext_kind="zwell", fp_tol=1e-10)
+        state, trace = fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
 
     def test_bump_potential_and_shallow_entropy(self):

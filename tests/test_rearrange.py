@@ -13,7 +13,6 @@ from subbandeq.rearrange import (
     occupation_sort_permutation,
     pair_casimir,
     pair_mass,
-    rayleigh_energies,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
@@ -37,8 +36,7 @@ def sine_pair(order=(1, 2), f_values=None):
     f = np.zeros((ny1, ny2, J, VGRID.n_nodes))
     for slot, val in enumerate(f_values):
         f[:, :, slot, :] = val * np.exp(-VGRID.r**2)
-    h = rayleigh_energies(chi, np.zeros(GRID.nz - 1), GRID)
-    return AdmissiblePair(f=f, chi=chi, h=h, vgrid=VGRID)
+    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID)
 
 
 def joint_density_loop(pair, order):
@@ -73,14 +71,12 @@ class TestPairValidation:
     def test_occupations_out_of_range(self):
         pair = sine_pair()
         with pytest.raises(ValueError):
-            AdmissiblePair(f=pair.f + 2.0, chi=pair.chi, h=pair.h, vgrid=pair.vgrid)
+            AdmissiblePair(f=pair.f + 2.0, chi=pair.chi, vgrid=pair.vgrid)
 
     def test_orthonormality_check(self):
         pair = sine_pair()
         pair.validate_orthonormal(GRID)
-        broken = AdmissiblePair(
-            f=pair.f, chi=pair.chi * 1.2, h=pair.h, vgrid=pair.vgrid
-        )
+        broken = AdmissiblePair(f=pair.f, chi=pair.chi * 1.2, vgrid=pair.vgrid)
         with pytest.raises(ValueError):
             broken.validate_orthonormal(GRID)
 
@@ -102,7 +98,6 @@ class TestEnergySort:
         sorted_ref = sine_pair(order=(1, 2), f_values=[0.9, 0.5])
         assert np.allclose(out.chi, sorted_ref.chi)
         assert np.allclose(out.f, sorted_ref.f)
-        assert np.allclose(out.h, np.sort(pair.h, axis=2))
 
     def test_invariants_preserved(self):
         model = OccupancyModel(T=0.7, p=2.0)
@@ -123,7 +118,6 @@ class TestEnergySort:
         twice = rearrange_energy_increasing(once, GRID)
         assert np.array_equal(once.chi, twice.chi)
         assert np.array_equal(once.f, twice.f)
-        assert np.array_equal(once.h, twice.h)
 
 
 class TestOccupationSort:

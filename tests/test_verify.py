@@ -14,12 +14,11 @@ from subbandeq.rearrange import (
 )
 from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes
 from subbandeq.verify import (
-    check_coercivity,
     check_energy_agreement,
     check_kinetic_interpolation,
     check_mu_bound,
+    check_perturbation,
     check_rearrangement_invariance,
-    check_stability_gap,
     check_subband_structure,
     check_uniqueness,
     check_weighted_l1,
@@ -69,12 +68,17 @@ class TestRandomTestPair:
                 chi[i, k] = q @ sine_modes(4, GRID)
         assert np.array_equal(random_test_pair(GRID, 4, VGRID, seed).chi, chi)
 
+    def test_more_modes_than_interior_nodes_rejected(self):
+        # nz = 4 has 3 interior nodes, where sine mode 4 vanishes
+        with pytest.raises(ValueError):
+            random_test_pair(Grid(4, 4, 4), 4, VGRID, seed=0)
+
 
 class TestWeightedL1:
     def test_zero_occupations(self):
         pair = random_test_pair(GRID, 3, VGRID, seed=0)
         pair = rearrange_energy_increasing(pair, GRID)
-        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, h=pair.h, vgrid=pair.vgrid)
+        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid)
         r = check_weighted_l1(zero, GRID)
         assert r.passed and r.lhs == 0.0
 
@@ -85,7 +89,7 @@ class TestWeightedL1:
         chi = np.broadcast_to(
             np.sqrt(2.0) * np.sin(np.pi * z), pair.chi.shape
         ).copy()
-        pair = type(pair)(f=pair.f, chi=chi, h=pair.h, vgrid=pair.vgrid)
+        pair = type(pair)(f=pair.f, chi=chi, vgrid=pair.vgrid)
         r = check_weighted_l1(pair, GRID)
         assert r.passed
         k = profile_kinetic_energy(chi, GRID)[0, 0, 0]
@@ -101,8 +105,7 @@ class TestWeightedL1:
     def test_unsorted_raises(self):
         pair = rearrange_energy_increasing(random_test_pair(GRID, 3, VGRID, 2), GRID)
         reversed_pair = type(pair)(
-            f=pair.f[:, :, ::-1, :], chi=pair.chi[:, :, ::-1, :],
-            h=pair.h[:, :, ::-1], vgrid=pair.vgrid,
+            f=pair.f[:, :, ::-1, :], chi=pair.chi[:, :, ::-1, :], vgrid=pair.vgrid,
         )
         with pytest.raises(ValueError):
             check_weighted_l1(reversed_pair, GRID)
@@ -111,7 +114,7 @@ class TestWeightedL1:
 class TestKineticInterpolation:
     def test_zero_pair(self):
         pair = random_test_pair(GRID, 3, VGRID, seed=3)
-        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, h=pair.h, vgrid=pair.vgrid)
+        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid)
         r = check_kinetic_interpolation(zero, 2.0, GRID)
         assert r.ratio == 0.0 and r.passed
 
@@ -168,7 +171,7 @@ def _assert_pair_quadrature(base):
 class TestCoercivity:
     def test_identity_perturbation(self, base):
         pert = rearrange_occupation_decreasing(base.pair)
-        r = check_coercivity(base, pert)
+        r, _ = check_perturbation(base, pert)
         assert r.passed
         assert abs(r.lhs) <= 1e-9 * (1 + abs(base.F))
         assert abs(r.rhs) <= 1e-9 * (1 + abs(base.F))
@@ -177,49 +180,47 @@ class TestCoercivity:
     def test_occupation_bumps(self, base, eps):
         for seed in range(5):
             pert = occupation_bump(base, eps, seed=seed)
-            r = check_coercivity(base, pert)
+            r, _ = check_perturbation(base, pert)
             assert r.passed, (eps, seed, r)
 
     def test_mode_rotations(self, base):
         for angle in (0.05, 0.1, 0.2):
             pert = mode_rotation(base, angle)
-            r = check_coercivity(base, pert)
+            r, _ = check_perturbation(base, pert)
             assert r.passed
             assert r.lhs > 0.0
 
     def test_unsorted_rejected(self, base):
         pert = occupation_bump(base, 1e-1, seed=0)
-        broken = type(pert)(
-            f=pert.f[:, :, ::-1, :], chi=pert.chi, h=pert.h, vgrid=pert.vgrid
-        )
+        broken = type(pert)(f=pert.f[:, :, ::-1, :], chi=pert.chi, vgrid=pert.vgrid)
         with pytest.raises(ValueError):
-            check_coercivity(base, broken)
+            check_perturbation(base, broken)
 
 
 class TestStabilityGap:
     def test_identity_gap_zero(self, base):
         pert = rearrange_occupation_decreasing(base.pair)
-        r = check_stability_gap(base, pert)
+        _, r = check_perturbation(base, pert)
         assert r.passed and r.lhs <= 1e-12
 
     def test_epsilon_family(self, base):
         for eps in (1e-1, 1e-2, 1e-3):
             for seed in range(3):
                 pert = occupation_bump(base, eps, seed=seed + 7)
-                r = check_stability_gap(base, pert)
+                _, r = check_perturbation(base, pert)
                 assert r.passed, (eps, seed, r)
 
     def test_gap_shrinks_with_perturbation(self, base):
         gaps = []
         for eps in (1e-1, 1e-2, 1e-3):
             pert = occupation_bump(base, eps, seed=11)
-            gaps.append(check_stability_gap(base, pert).lhs)
+            gaps.append(check_perturbation(base, pert)[1].lhs)
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_mass_preserving_delta_is_energy_gap(self, base):
         # rotations keep f, hence the mass; delta collapses to |F_pert - F|
         pert = mode_rotation(base, 0.1)
-        r = check_stability_gap(base, pert)
+        _, r = check_perturbation(base, pert)
         assert r.passed
         assert r.details["delta"] == pytest.approx(
             r.rhs / (1.0 + base.mu), rel=1e-12
@@ -301,6 +302,12 @@ class TestRunVerification:
         ]
         again = run_verification(cfg, seed=42, n_pairs=3, n_perturbations=3)
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in again]
+
+    def test_coarsest_z_grid_passes(self):
+        # nz = 4: the test pairs draw nz - 1 = 3 modes, not 4
+        cfg = SolverConfig(M_target=1.0, grid=Grid(4, 4, 4))
+        reports = run_verification(cfg, seed=42, n_pairs=2, n_perturbations=2)
+        assert all(r.passed for r in reports), [(r.name, r.passed) for r in reports]
 
     @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_perturbations": 0}])
     def test_counts_below_one_rejected_before_the_solve(self, counts):
