@@ -22,7 +22,6 @@ cfg = SolverConfig(
     grid=Grid(16, 16, 48),
     vext_kind="zwell",
     vext_amplitude=8.0,
-    theta=0.5,
     fp_tol=1e-9,
 )
 state, trace = solve_equilibrium(cfg)

@@ -35,10 +35,8 @@ CONFIG_DEFAULTS = {
     "beta_p": 2.0,
     "grid": {"ny1": 16, "ny2": 16, "nz": 32, "L1": 1.0, "L2": 1.0},
     "vext": {"kind": "zero", "amplitude": 8.0},
-    "theta": 0.5,
     "fp_tol": 1e-8,
     "max_outer": 300,
-    "j_margin": 2,
     "init": {"kind": "zero", "seed": 0},
     "verify": {"n_pairs": 10, "n_perturbations": 12},
 }
@@ -104,10 +102,8 @@ def solver_config(cfg: dict) -> SolverConfig:
             ),
             vext_kind=str(cfg["vext"]["kind"]),
             vext_amplitude=float(cfg["vext"]["amplitude"]),
-            theta=float(cfg["theta"]),
             fp_tol=float(cfg["fp_tol"]),
             max_outer=_integer(cfg["max_outer"], "max_outer"),
-            j_margin=_integer(cfg["j_margin"], "j_margin"),
             init_kind=str(cfg["init"]["kind"]),
             init_seed=_integer(cfg["init"]["seed"], "init.seed"),
         )
@@ -213,6 +209,8 @@ def cmd_verify(args) -> int:
     for key, n in counts.items():
         if n < 1:
             raise ConfigError(f"verify.{key} must be at least 1, got {n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports = run_verification(cfg, seed=args.seed, **counts)
@@ -239,16 +237,12 @@ def cmd_sweep(args) -> int:
         print(f"unknown sweep parameter {args.param!r}", file=sys.stderr)
         return 1
     cfg_dict = load_config(args.config)
+    key = "M_target" if args.param == "M" else "T"
+    cfgs = [solver_config({**cfg_dict, key: value}) for value in args.values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in args.values:
-        local = json.loads(json.dumps(cfg_dict))
-        if args.param == "M":
-            local["M_target"] = value
-        else:
-            local["T"] = value
-        cfg = solver_config(local)
+    for value, cfg in zip(args.values, cfgs):
         state, trace = solve_equilibrium(cfg)
         if not trace.converged:
             print(f"sweep value {value} did not converge", file=sys.stderr)

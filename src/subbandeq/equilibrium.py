@@ -8,19 +8,19 @@ One outer cycle maps a trial potential U to a new one:
       -> Poisson solve for the induced potential U_new = G(U).
 
 The next trial is an Anderson-mixed step (type II, Walker & Ni 2011): the
-damped step U + theta (G(U) - U), corrected by a least-squares fit over the
-last ANDERSON_DEPTH steps.  The free energy guards every step: an
-accelerated trial that raises the (directly evaluated) free energy clears
-the history and is replaced by the plain damped step, and a damped step
-that raises it is retried with theta halved.  So the recorded free energy
-is nonincreasing after the first accepted step; only a step taken at
-THETA_MIN may raise it, and the trace counts those steps and the rejected
-accelerated trials.  The loop stops at the first cycle whose map residual
-||G(U) - U|| / (1 + ||U||) meets the tolerance, so the certificate does not
-depend on theta.  fixed_point runs the loop for any object with the gap
-profiles of OccupancyModel; verify runs it with speed-grid profiles for
-its grid-consistent base.  Everything is deterministic for a fixed
-configuration, also across BLAS thread counts.
+damped step U + theta (G(U) - U), theta = THETA_START at first, corrected
+by a least-squares fit over the last ANDERSON_DEPTH steps.  The free energy
+guards every step: an accelerated trial that raises the (directly
+evaluated) free energy clears the history and is replaced by the plain
+damped step, and a damped step that raises it is retried with theta
+halved.  So the recorded free energy is nonincreasing after the first
+accepted step; only a step taken at THETA_MIN may raise it, and the trace
+counts those steps and the rejected accelerated trials.  The loop stops at
+the first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
+tolerance, so the certificate does not depend on theta.  fixed_point runs
+the loop for any object with the gap profiles of OccupancyModel; verify
+runs it with speed-grid profiles for its grid-consistent base.  Everything
+is deterministic for a fixed configuration, also across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -48,8 +48,13 @@ INIT_KINDS = ("zero", "random")
 # below it do not trigger damping and the recorded trace is monotone up to it.
 ENERGY_NOISE_REL = 1e-8
 
-# Smallest damping factor; a damped step at it is accepted even if F rises.
+# Damping factor of the first step, and the smallest one: a damped step at
+# THETA_MIN is accepted even if F rises.
+THETA_START = 0.5
 THETA_MIN = 1e-3
+
+# Bands computed beyond the finite-subband bound.
+J_MARGIN = 2
 
 # Accepted steps the Anderson history spans.  It holds two volume vectors per
 # step; on the benchmark solves depths 1, 2, 3 and 5 took 85, 74, 65 and 62
@@ -69,18 +74,16 @@ class SolverConfig:
     grid: Grid = field(default_factory=lambda: Grid(16, 16, 32))
     vext_kind: str = "zero"
     vext_amplitude: float = 8.0
-    theta: float = 0.5
     fp_tol: float = 1e-8
     max_outer: int = 300
-    j_margin: int = 2
     init_kind: str = "zero"
     init_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.M_target < np.inf:
             raise ValueError("M_target must be finite and positive")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("damping factor must lie in (0, 1]")
+        if not np.isfinite(self.vext_amplitude):
+            raise ValueError("external potential amplitude must be finite")
         if not 0.0 < self.fp_tol < np.inf:
             raise ValueError("fixed-point tolerance must be finite and positive")
         if self.max_outer < 1:
@@ -89,6 +92,8 @@ class SolverConfig:
             raise ValueError(f"unknown external potential kind {self.vext_kind!r}")
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"unknown initial potential kind {self.init_kind!r}")
+        if self.init_seed < 0:
+            raise ValueError(f"initial potential seed must be non-negative, got {self.init_seed}")
 
 
 def external_potential(cfg: SolverConfig) -> Field3D:
@@ -111,7 +116,7 @@ def external_potential(cfg: SolverConfig) -> Field3D:
     return Field3D(v)
 
 
-def random_smooth_potential(grid: Grid, seed: int, amplitude: float = 0.5) -> Field3D:
+def random_smooth_potential(grid: Grid, seed: int) -> Field3D:
     """Low-mode random field satisfying both boundary conditions; seeded."""
     rng = np.random.default_rng(seed)
     y1 = grid.y1_nodes()[:, None, None] / grid.L1
@@ -123,15 +128,19 @@ def random_smooth_potential(grid: Grid, seed: int, amplitude: float = 0.5) -> Fi
             for l in (0, 1, 2):
                 c = rng.standard_normal()
                 v += c * np.sin(m * np.pi * y1) * np.sin(n * np.pi * y2) * np.cos(l * np.pi * z)
-    return Field3D(amplitude * v)
+    return Field3D(0.5 * v)
 
 
-def choose_J_max(mu_estimate: float, margin: int) -> int:
+def subband_bound(mu: float) -> float:
+    """sqrt(3 mu)/pi: fewer than this plus one bands are occupied at chemical potential mu."""
+    return math.sqrt(3.0 * max(mu, 0.0)) / math.pi
+
+
+def choose_J_max(mu_estimate: float) -> int:
     """Band budget from the finite-subband bound, recomputed every outer cycle."""
     if not math.isfinite(mu_estimate):
         raise ValueError("mu estimate must be finite")
-    j_bound = math.ceil(math.sqrt(3.0 * max(mu_estimate, 0.0)) / math.pi)
-    return max(4, j_bound + margin)
+    return max(4, math.ceil(subband_bound(mu_estimate)) + J_MARGIN)
 
 
 def assemble_density(
@@ -378,14 +387,14 @@ def fixed_point(
     """
     grid = cfg.grid
     trace = IterationTrace()
-    theta = cfg.theta
+    theta = THETA_START
     history = _Anderson(grid)
-    J = min(choose_J_max(0.0, cfg.j_margin), grid.nz - 1)
+    J = min(choose_J_max(0.0), grid.nz - 1)
     cyc = _evaluate_cycle(U0, J, cfg, vext)
     residual = _map_residual(cyc, grid)
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
         cur = cyc.state
-        J = min(choose_J_max(cur.mu, cfg.j_margin), grid.nz - 1)
+        J = min(choose_J_max(cur.mu), grid.nz - 1)
         # Evaluation noise in F (the mu solve's mass tolerance) sits near
         # 1e-9 relative; increases below this floor are not energy climbing.
         accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cur.energy.total_direct))

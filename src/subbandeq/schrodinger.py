@@ -5,14 +5,15 @@ Hamiltonian -(1/2) d^2/dz^2 + W(z) with zero boundary values at z = 0, 1.
 Three-point differences on the interior z-nodes give a symmetric
 tridiagonal matrix T (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
 spectrum is real and simple.  Rayleigh-quotient iteration runs on all
-(slice, band) pairs of a block at once by vectorized LDL^T solves; a slice
-is kept if each band's residual is at most rho = 8 eps ||T|| and the Sturm
-counts (negative LDL^T pivots) at sigma_j -/+ rho are j and j + 1.  The
-pivots run unguarded, and columns whose pivots reach the eps ||T|| guard are
-recomputed with it, so results are those of the guarded recurrence.  The guess
-is the previous cycle's modes, with sine modes (exact for W = 0) for missing
-bands and for slices without or failing a guess; dense eigh is the last
-resort.  A shared Rayleigh polish takes the eigenvalues to machine accuracy.
+(slice, band) pairs of a block at once by vectorized LDL^T solves, from the
+previous cycle's modes, with sine modes (exact for W = 0) for missing bands
+and slices without a guess.  A slice is kept if each band's residual is at
+most rho = 8 eps ||T||, the intervals sigma_j -/+ rho increase without
+overlapping, and the Sturm count (negative LDL^T pivots) at sigma_{J-1} + rho
+is J; every other slice goes to dense eigh.  The pivots run unguarded, and
+columns whose pivots reach the eps ||T|| guard are recomputed with it, so
+results are those of the guarded recurrence.  A shared Rayleigh polish takes
+the eigenvalues to machine accuracy.
 """
 
 from __future__ import annotations
@@ -202,12 +203,13 @@ def _warm(a, e: float, chi_g):
         V[:, act] = X
         r_prev[act] = r[act]
         sigma[act], r[act] = _rayleigh(A[:, act], e, X)
-    ok = r <= rho
-    j = np.tile(np.arange(J), B)
-    # One shift at a time: the pivots of both would double the working set.
-    for shift, count in ((-rho, j), (rho, j + 1)):
-        ok &= np.sum(_ldl_pivots(A, sigma + shift, e, guard) < 0.0, axis=0) == count
-    return np.ascontiguousarray(V.T).reshape(B, J, n), np.all(ok.reshape(B, J), axis=1)
+    # Each interval sigma_j -/+ rho holds an eigenvalue; disjoint, increasing
+    # and with J eigenvalues below the top one's end, they hold the lowest J.
+    ok = np.all((r <= rho).reshape(B, J), axis=1)
+    lo, hi = (sigma - rho).reshape(B, J), (sigma + rho).reshape(B, J)
+    ok &= np.all(hi[:, :-1] < lo[:, 1:], axis=1)
+    ok &= np.sum(_ldl_pivots(a.T, hi[:, -1], e, guard[::J]) < 0.0, axis=0) == J
+    return np.ascontiguousarray(V.T).reshape(B, J, n), ok
 
 
 def _solve_block(W, J: int, grid: Grid, chi_g=None):
@@ -219,13 +221,10 @@ def _solve_block(W, J: int, grid: Grid, chi_g=None):
     e = -0.5 / grid.hz**2
     a = 1.0 / grid.hz**2 + W
     B, n = a.shape
-    sine = np.broadcast_to(sine_modes(J, grid), (B, J, n))
-    V, ok = np.empty((B, J, n)), np.zeros(B, dtype=bool)
+    start = np.broadcast_to(sine_modes(J, grid), (B, J, n))
     if chi_g is not None:
-        V, ok = _warm(a, e, np.concatenate([chi_g, sine[:, chi_g.shape[1] :]], axis=1))
-    cold = np.flatnonzero(~ok)
-    if cold.size:
-        V[cold], ok[cold] = _warm(a[cold], e, sine[cold])
+        start = np.concatenate([chi_g, start[:, chi_g.shape[1] :]], axis=1)
+    V, ok = _warm(a, e, start)
     for i in np.flatnonzero(~ok):
         # Last resort, O(n^3) per slice: the dense symmetric eigensolver.
         V[i] = np.linalg.eigh(np.diag(a[i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1)))[1][:, :J].T

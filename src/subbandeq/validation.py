@@ -18,15 +18,15 @@ from .poisson import dirichlet_energy, potential_pairing, solve_poisson
 from .schrodinger import free_mode_eigenvalue, solve_slice
 
 
-def eigensolver_study(nz: int = 200, n_modes: int = 10) -> dict:
-    """Free-well eigenvalues: exact discrete formula and continuum limit."""
-    grid = Grid(2, 2, nz)
-    lam, _ = solve_slice(np.zeros(nz - 1), n_modes, grid)
-    exact = free_mode_eigenvalue(np.arange(1, n_modes + 1), grid)
+def eigensolver_study() -> dict:
+    """Free-well eigenvalues, 10 modes at nz = 200: exact discrete formula and continuum limit."""
+    grid = Grid(2, 2, 200)
+    lam, _ = solve_slice(np.zeros(grid.nz - 1), 10, grid)
+    exact = free_mode_eigenvalue(np.arange(1, 11), grid)
     rel = np.abs(lam - exact) / exact
     continuum_err = abs(lam[0] - math.pi**2 / 2.0)
     return {
-        "nz": nz,
+        "nz": grid.nz,
         "max_relative_error": float(np.max(rel)),
         "continuum_error_mode1": float(continuum_err),
         "pass": bool(np.max(rel) <= 1e-12 and continuum_err <= 5e-4),
@@ -46,11 +46,12 @@ def manufactured_poisson_case(n: int) -> tuple[Grid, np.ndarray, np.ndarray]:
     return grid, u_star, 3.0 * math.pi**2 * u_star
 
 
-def poisson_convergence_study(resolutions=(16, 32, 64)) -> dict:
-    """L-infinity error against the manufactured solution at several grids.
+def poisson_convergence_study() -> dict:
+    """L-infinity error against the manufactured solution at n = 16, 32, 64.
 
     Also records the weak-form identity defect of every solve.
     """
+    resolutions = (16, 32, 64)
     errors = []
     weak_defects = []
     for n in resolutions:
@@ -70,17 +71,13 @@ def poisson_convergence_study(resolutions=(16, 32, 64)) -> dict:
     }
 
 
-def profile_study(
-    a_values=None, temperatures=(0.0, 0.1, 1.0), exponents=(1.5, 2.0, 3.0)
-) -> dict:
+def profile_study() -> dict:
     """Closed-form occupancy profiles against tanh-sinh quadrature."""
-    if a_values is None:
-        a_values = np.linspace(-1.0, 10.0, 45)
     worst = 0.0
-    for T in temperatures:
-        for p in exponents:
+    for T in (0.0, 0.1, 1.0):
+        for p in (1.5, 2.0, 3.0):
             model = OccupancyModel(T=T, p=p)
-            for a in a_values:
+            for a in np.linspace(-1.0, 10.0, 45):
                 g, k, b = profiles_by_quadrature(model, float(a))
                 worst = max(
                     worst,

@@ -30,6 +30,7 @@ from .equilibrium import (
     external_potential,
     fixed_point,
     solve_equilibrium,
+    subband_bound,
 )
 from .grid import Field3D, Grid
 from .occupancy import OccupancyModel
@@ -136,18 +137,12 @@ def _weighted_band_l1(rho_j: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.arange(1, rho_j.shape[2] + 1) ** 2 * band_l1))
 
 
-def check_weighted_l1(
-    pair: AdmissiblePair,
-    grid: Grid,
-    model: OccupancyModel | None = None,
-) -> CheckReport:
+def check_weighted_l1(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -> CheckReport:
     """Energy-sorted pairs: sum_j j^2 ||f_j|| <= (3/pi^2) sum int |dchi|^2 rho
     <= (6/pi^2) F, each with 1e-6 relative slack.  Errors out if the pair is
     not energy-sorted."""
     if not is_energy_sorted(pair, grid):
         raise ValueError("pair is not sorted by confined kinetic energy")
-    if model is None:
-        model = OccupancyModel(T=0.0)
     rho_j = band_densities(pair)
     lhs = _weighted_band_l1(rho_j, grid)
     mid = 6.0 / math.pi**2 * confined_kinetic(rho_j, pair.chi, grid)
@@ -459,7 +454,7 @@ def check_mu_bound(
 def check_subband_structure(state: EquilibriumState) -> CheckReport:
     """Active-band cap sqrt(3 mu)/pi + 1 and strict spectral ordering."""
     j_active = state.j_active
-    bound = math.sqrt(3.0 * max(state.mu, 0.0)) / math.pi + 1.0
+    bound = subband_bound(state.mu) + 1.0
     min_gap = float(np.min(np.diff(state.spectrum.lam, axis=2)))
     ok = j_active < bound and min_gap > 1e-10
     return CheckReport(
@@ -573,6 +568,8 @@ def run_verification(
     n_perturbations: int = 12,
 ) -> list[CheckReport]:
     """Solve, then run every check; returns one report per check family."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for name, n in (("n_pairs", n_pairs), ("n_perturbations", n_perturbations)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")

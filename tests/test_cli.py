@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import subbandeq
-from subbandeq.cli import CSV_BLOCK_ROWS, _write_csv, load_config, main, solver_config
+from subbandeq.cli import (
+    CONFIG_DEFAULTS, CSV_BLOCK_ROWS, _write_csv, load_config, main, solver_config,
+)
 from subbandeq.equilibrium import solve_equilibrium
 from subbandeq.grid import Grid
 
@@ -64,6 +66,12 @@ def test_runtime_without_scipy(tmp_path):
         f"print([main(argv + ['--out', {out!r}]) for argv in runs])\n"
     )
     assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+
+
+def test_readme_config_reference_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Full reference:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == CONFIG_DEFAULTS
 
 
 class TestWriteCsv:
@@ -235,8 +243,9 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"bogus": 2}, {"poisson_tol": 1e-10}, {"verify": {"unsorted_probe": False}}],
-        ids=["bogus", "poisson_tol", "unsorted_probe"],
+        [{"bogus": 2}, {"poisson_tol": 1e-10}, {"verify": {"unsorted_probe": False}},
+         {"theta": 0.5}, {"j_margin": 2}],
+        ids=["bogus", "poisson_tol", "unsorted_probe", "theta", "j_margin"],
     )
     def test_unknown_key_exit_1(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"M_target": 1.0, **extra})
@@ -278,6 +287,23 @@ class TestSolve:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, args",
+        [
+            ("verify", {"verify": {"n_pairs": 1, "n_perturbations": 1}}, ["--seed", "-1"]),
+            ("sweep", {}, ["--param", "M", "--values", "10,-1"]),
+            ("solve", {"init": {"kind": "random", "seed": -3}}, []),
+            ("solve", {"vext": {"kind": "zwell", "amplitude": float("inf")}}, []),
+        ],
+        ids=["verify_seed", "sweep_value", "init_seed", "vext_amplitude"],
+    )
+    def test_invalid_input_rejected_before_any_work(self, tmp_path, capsys, command, extra, args):
+        cfg = write_config(tmp_path, {**FAST, **extra})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert (

@@ -67,20 +67,20 @@ def _patch_linear_map(monkeypatch, g, factor):
 
 class TestChooseJMax:
     def test_zero_mu(self):
-        assert choose_J_max(0.0, 2) == 4
-        assert choose_J_max(-5.0, 2) == 4
+        assert choose_J_max(0.0) == 4
+        assert choose_J_max(-5.0) == 4
 
     def test_moderate_mu(self):
         # ceil(sqrt(15)/pi) = 2, plus margin 2 -> max(4, 4)
-        assert choose_J_max(5.0, 2) == 4
+        assert choose_J_max(5.0) == 4
 
     def test_large_mu(self):
         # ceil(sqrt(300)/pi) = 6, plus margin 2
-        assert choose_J_max(100.0, 2) == 8
+        assert choose_J_max(100.0) == 8
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):
-            choose_J_max(float("nan"), 2)
+            choose_J_max(float("nan"))
 
 
 class TestAssembleDensity:
@@ -251,18 +251,20 @@ class TestSolveEquilibrium:
     def test_adaptive_damping_halves_on_energy_increase(self, monkeypatch):
         # physical desk-scale maps are contractive enough that full steps
         # never raise the free energy, so the reject path is exercised with
-        # a synthetic overcorrecting map: U -> -1.5 U (divergent undamped),
-        # free energy |U|^2.  One halving to theta = 0.5 makes it contract.
+        # a synthetic overcorrecting map: U -> -4 U, free energy |U|^2.  The
+        # damped step at THETA_START = 0.5 scales U by -1.5 and diverges; one
+        # halving to theta = 0.25 scales it by -0.25 and contracts.
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
-        _patch_linear_map(monkeypatch, g, -1.5)
+        _patch_linear_map(monkeypatch, g, -4.0)
         U0 = Field3D(np.ones(g.volume_shape))
-        cfg = SolverConfig(M_target=1.0, grid=g, theta=1.0, fp_tol=1e-10, max_outer=200)
+        cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=200)
         state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
+        assert eq.THETA_START == 0.5
         assert trace.converged
-        assert trace.thetas[0] == 0.5  # halved once on the first rejected trial
-        assert all(t == 0.5 for t in trace.thetas)
+        assert trace.thetas[0] == 0.25  # halved once on the first rejected trial
+        assert all(t == 0.25 for t in trace.thetas)
         noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
         assert np.all(np.diff(trace.free_energies) <= noise)
 
@@ -291,7 +293,7 @@ class TestSolveEquilibrium:
         g = Grid(4, 4, 8)
         log = []
         _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: float(np.sum(U**2)), log)
-        cfg = SolverConfig(M_target=1.0, grid=g, theta=0.5, fp_tol=1e-10, max_outer=100)
+        cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=100)
         U0 = Field3D(np.full(g.volume_shape, 3.0))
         _, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
@@ -317,9 +319,12 @@ class TestSolveEquilibrium:
         # map U -> U / 2 with fixed point 0: ||U|| is the distance to the
         # fixed point, so the returned potential must meet fp_tol whatever
         # the damping (a damped-step certificate overshoots it by 1/theta)
+        import subbandeq.equilibrium as eq
+
         g = Grid(4, 4, 8)
         _patch_linear_map(monkeypatch, g, 0.5)
-        cfg = SolverConfig(M_target=1.0, grid=g, theta=theta, fp_tol=1e-6, max_outer=500)
+        monkeypatch.setattr(eq, "THETA_START", theta)
+        cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-6, max_outer=500)
         state, trace = fixed_point(Field3D(np.ones(g.volume_shape)), cfg, external_potential(cfg))
         assert trace.converged
         assert l2_norm_volume(state.U, g) <= cfg.fp_tol
@@ -409,11 +414,14 @@ class TestExternalPotential:
         with pytest.raises(ValueError):
             SolverConfig(M_target=-1.0)
         with pytest.raises(ValueError):
-            SolverConfig(theta=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(vext_kind="nope")
         with pytest.raises(ValueError):
             SolverConfig(init_kind="supplied")
+        with pytest.raises(ValueError):
+            SolverConfig(init_kind="random", init_seed=-3)
+        for amplitude in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(vext_kind="zwell", vext_amplitude=amplitude)
         for tol in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SolverConfig(fp_tol=tol)

@@ -236,15 +236,43 @@ class TestWarmStart:
         assert np.max(np.abs(warm.lam - cold.lam)) <= 1e-12
         assert np.max(np.abs(warm.chi - cold.chi)) <= 1e-12
 
-    def test_bad_guesses_fall_back_to_cold(self):
+    @pytest.mark.parametrize(
+        "bands", [[3, 2, 1, 0], [1, 2, 3, 4], [0, 0, 1, 2]],
+        ids=["reversed", "bands_2_5", "duplicated"],
+    )
+    def test_bad_guesses_fall_back_to_dense(self, bands):
+        # bands 2-5 converge to increasing, disjoint intervals: only the
+        # Sturm count at the top one rejects them
         g = Grid(6, 5, 32)
         W = zwell_noise(g, 2)
-        cold = solve_slices(W, 4, g)
+        n, e = g.nz - 1, -0.5 / g.hz**2
         near = solve_slices(W + 0.01, 6, g)
-        reversed_bands = SubbandSpectrum(near.lam[..., 3::-1], near.chi[:, :, 3::-1])
-        spec = solve_slices(W, 4, g, reversed_bands)
-        assert np.array_equal(spec.lam, cold.lam)
-        assert np.array_equal(spec.chi, cold.chi)
+        _, ok = _warm(1.0 / g.hz**2 + W.reshape(-1, n), e, near.chi[:, :, bands].reshape(-1, 4, n))
+        assert not np.any(ok)
+        spec = solve_slices(W, 4, g, SubbandSpectrum(near.lam[..., bands], near.chi[:, :, bands]))
+        spec.validate(g)
+        cold = solve_slices(W, 4, g)
+        assert np.max(np.abs(spec.lam - cold.lam)) <= 1e-12
+        assert np.max(np.abs(spec.chi - cold.chi)) <= 1e-12
+
+    def test_solver_traffic_never_reaches_dense_eigh(self, monkeypatch):
+        # a broken warm pass would only show as a slowdown: every slice of
+        # random-start solves must be certified by the one warm pass
+        from subbandeq.equilibrium import SolverConfig, solve_equilibrium
+
+        certified = []
+
+        def recording(a, e, chi_g):
+            V, ok = _warm(a, e, chi_g)
+            certified.append(bool(np.all(ok)))
+            return V, ok
+
+        monkeypatch.setattr("subbandeq.schrodinger._warm", recording)
+        for seed in (1, 2, 3):
+            cfg = SolverConfig(M_target=10.0, grid=Grid(8, 8, 16), vext_kind="zwell",
+                               init_kind="random", init_seed=seed)
+            assert solve_equilibrium(cfg)[1].converged
+        assert len(certified) > 3 and all(certified)
 
     def test_short_guess_padded_with_sine_modes(self):
         g = Grid(6, 5, 32)

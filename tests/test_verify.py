@@ -79,7 +79,7 @@ class TestWeightedL1:
         pair = random_test_pair(GRID, 3, VGRID, seed=0)
         pair = rearrange_energy_increasing(pair, GRID)
         zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid)
-        r = check_weighted_l1(zero, GRID)
+        r = check_weighted_l1(zero, GRID, MODEL_T0)
         assert r.passed and r.lhs == 0.0
 
     def test_single_band_sine_mode(self):
@@ -90,7 +90,7 @@ class TestWeightedL1:
             np.sqrt(2.0) * np.sin(np.pi * z), pair.chi.shape
         ).copy()
         pair = type(pair)(f=pair.f, chi=chi, vgrid=pair.vgrid)
-        r = check_weighted_l1(pair, GRID)
+        r = check_weighted_l1(pair, GRID, MODEL_T0)
         assert r.passed
         k = profile_kinetic_energy(chi, GRID)[0, 0, 0]
         assert r.details["middle"] == pytest.approx(3.0 / np.pi**2 * k * r.lhs, rel=1e-10)
@@ -99,7 +99,7 @@ class TestWeightedL1:
     def test_randomized_family(self):
         for seed in range(12):
             pair = random_test_pair(GRID, 4, VGRID, seed=seed)
-            r = check_weighted_l1(rearrange_energy_increasing(pair, GRID), GRID)
+            r = check_weighted_l1(rearrange_energy_increasing(pair, GRID), GRID, MODEL_T0)
             assert r.passed
 
     def test_unsorted_raises(self):
@@ -108,7 +108,7 @@ class TestWeightedL1:
             f=pair.f[:, :, ::-1, :], chi=pair.chi[:, :, ::-1, :], vgrid=pair.vgrid,
         )
         with pytest.raises(ValueError):
-            check_weighted_l1(reversed_pair, GRID)
+            check_weighted_l1(reversed_pair, GRID, MODEL_T0)
 
 
 class TestKineticInterpolation:
@@ -309,7 +309,7 @@ class TestRunVerification:
         reports = run_verification(cfg, seed=42, n_pairs=2, n_perturbations=2)
         assert all(r.passed for r in reports), [(r.name, r.passed) for r in reports]
 
-    @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_perturbations": 0}])
+    @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_perturbations": 0}, {"seed": -1}])
     def test_counts_below_one_rejected_before_the_solve(self, counts):
         # max_outer = 1 cannot converge, so the solve would raise RuntimeError:
         # the ValueError shows the counts are checked first
