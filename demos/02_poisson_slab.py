@@ -19,7 +19,7 @@ prev = None
 for n in (8, 16, 32, 64):
     grid, u_star, rho = manufactured_poisson_case(n)
     U = solve_poisson(rho, grid)
-    err = np.max(np.abs(U.values - u_star))
+    err = np.max(np.abs(U - u_star))
     e = dirichlet_energy(U, grid)
     defect = abs(potential_pairing(U, rho, grid) - e) / e
     ratio = "" if prev is None else f"{prev / err:.3f}"
@@ -31,11 +31,11 @@ rng = np.random.default_rng(3)
 g = Grid(12, 12, 24)
 rho = rng.uniform(0.0, 1.0, g.volume_shape)
 U = solve_poisson(rho, g)
-print(f"  min U = {np.min(U.values):.3e} for a random density in [0, 1]")
+print(f"  min U = {np.min(U):.3e} for a random density in [0, 1]")
 
 print("\nLinearity to rounding:")
 r1 = rng.standard_normal(g.volume_shape)
 r2 = rng.standard_normal(g.volume_shape)
-lhs = solve_poisson(2.0 * r1 + 3.0 * r2, g).values
-rhs = 2.0 * solve_poisson(r1, g).values + 3.0 * solve_poisson(r2, g).values
+lhs = solve_poisson(2.0 * r1 + 3.0 * r2, g)
+rhs = 2.0 * solve_poisson(r1, g) + 3.0 * solve_poisson(r2, g)
 print(f"  |solve(2 r1 + 3 r2) - 2 solve(r1) - 3 solve(r2)|_max = {np.max(np.abs(lhs - rhs)):.2e}")

@@ -70,14 +70,14 @@ try:
     mid = g.ny2 // 2
     fig, axes = plt.subplots(1, 2, figsize=(10, 3.6), constrained_layout=True)
     im0 = axes[0].imshow(
-        state.rho.values[:, mid, :].T, origin="lower", aspect="auto",
+        state.rho[:, mid, :].T, origin="lower", aspect="auto",
         extent=[g.hy1, g.L1 - g.hy1, 0, 1],
     )
     axes[0].set_title("density through the mid-plane")
     axes[0].set_xlabel("y1"); axes[0].set_ylabel("z")
     fig.colorbar(im0, ax=axes[0])
     im1 = axes[1].imshow(
-        state.U.values[:, mid, :].T, origin="lower", aspect="auto",
+        state.U[:, mid, :].T, origin="lower", aspect="auto",
         extent=[g.hy1, g.L1 - g.hy1, 0, 1],
     )
     axes[1].set_title("induced potential")

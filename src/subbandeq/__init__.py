@@ -8,7 +8,7 @@ monotone spectrum, chemical-potential bound, uniqueness of the potential,
 free-energy coercivity and the stability gap).
 """
 
-from .grid import Field3D, Grid
+from .grid import Grid
 from .occupancy import OccupancyModel, solve_mu, subband_mass
 from .schrodinger import SubbandSpectrum, solve_slice, solve_slices
 from .poisson import dirichlet_energy, potential_pairing, solve_poisson
@@ -30,7 +30,6 @@ from .rearrange import (
 )
 
 __all__ = [
-    "Field3D",
     "Grid",
     "OccupancyModel",
     "solve_mu",

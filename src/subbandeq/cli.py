@@ -7,7 +7,8 @@ notation with 17 significant digits (lossless doubles) and JSON reports
 re-serialize byte-identically.  The CSV writer takes numpy columns that
 broadcast together (node axes are never expanded to the full grid) and
 formats each distinct bit pattern once per block of rows; the bytes are
-those of formatting every value in turn.
+those of formatting every value in turn.  Exit codes: 0 on success, 1 on
+bad input or a failed check, 2 when a solve does not converge.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import SolverConfig, solve_equilibrium
+from .equilibrium import NonConvergence, SolverConfig, solve_equilibrium
 from .grid import Grid
 from .occupancy import OccupancyModel
 from .validation import run_validation
@@ -168,8 +169,8 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
         y1,
         y2,
         grid.z_nodes(),
-        state.U.values,
-        state.rho.values,
+        state.U,
+        state.rho,
     )
     _write_csv(
         out / "spectrum.csv",
@@ -231,11 +232,9 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not args.values:
-        print("sweep needs a non-empty --values list", file=sys.stderr)
-        return 1
+        raise ConfigError("sweep needs a non-empty --values list")
     if args.param not in ("M", "T"):
-        print(f"unknown sweep parameter {args.param!r}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     cfg_dict = load_config(args.config)
     key = "M_target" if args.param == "M" else "T"
     cfgs = [solver_config({**cfg_dict, key: value}) for value in args.values]
@@ -305,6 +304,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # solver/check failures surface with exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,9 @@ One outer cycle maps a trial potential U to a new one:
       -> per-band densities rho_j = 2 pi G(mu - lambda_j) and total density
       -> Poisson solve for the induced potential U_new = G(U).
 
+Potentials and densities are float arrays of Grid.volume_shape; a state
+stores rho_j and derives the total density from it.
+
 The next trial is an Anderson-mixed step (type II, Walker & Ni 2011): the
 damped step U + theta (G(U) - U), theta = THETA_START at first, corrected
 by a least-squares fit over the last ANDERSON_DEPTH steps.  The free energy
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field3D, Grid, l2_norm_volume
+from .grid import Grid, l2_norm_volume
 from .occupancy import OccupancyModel, solve_mu
 from .poisson import dirichlet_energy, solve_poisson
 from .schrodinger import (
@@ -65,6 +68,10 @@ ANDERSON_DEPTH = 2
 _GRAM_COND_MAX = 1e10
 
 
+class NonConvergence(RuntimeError):
+    """A solve that a check depends on missed its fixed-point tolerance."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything a solve needs; every field has a usable default."""
@@ -96,27 +103,25 @@ class SolverConfig:
             raise ValueError(f"initial potential seed must be non-negative, got {self.init_seed}")
 
 
-def external_potential(cfg: SolverConfig) -> Field3D:
+def external_potential(cfg: SolverConfig) -> np.ndarray:
     """Built-in nonnegative confining potentials sampled at the nodes."""
     g = cfg.grid
     if cfg.vext_kind == "zero":
-        return Field3D(np.zeros(g.volume_shape))
+        return np.zeros(g.volume_shape)
     if cfg.vext_kind == "zwell":
         z = g.z_nodes()
         prof = cfg.vext_amplitude * z * (1.0 - z)
-        v = np.broadcast_to(prof[None, None, :], g.volume_shape).copy()
-        return Field3D(v)
+        return np.broadcast_to(prof[None, None, :], g.volume_shape).copy()
     # lateral Gaussian bump, constant in z
     y1 = g.y1_nodes()[:, None]
     y2 = g.y2_nodes()[None, :]
     sigma = 0.15 * min(g.L1, g.L2)
     r2 = (y1 - 0.5 * g.L1) ** 2 + (y2 - 0.5 * g.L2) ** 2
     lat = cfg.vext_amplitude * np.exp(-r2 / (2.0 * sigma**2))
-    v = np.repeat(lat[:, :, None], g.nz + 1, axis=2)
-    return Field3D(v)
+    return np.repeat(lat[:, :, None], g.nz + 1, axis=2)
 
 
-def random_smooth_potential(grid: Grid, seed: int) -> Field3D:
+def random_smooth_potential(grid: Grid, seed: int) -> np.ndarray:
     """Low-mode random field satisfying both boundary conditions; seeded."""
     rng = np.random.default_rng(seed)
     y1 = grid.y1_nodes()[:, None, None] / grid.L1
@@ -128,7 +133,7 @@ def random_smooth_potential(grid: Grid, seed: int) -> Field3D:
             for l in (0, 1, 2):
                 c = rng.standard_normal()
                 v += c * np.sin(m * np.pi * y1) * np.sin(n * np.pi * y2) * np.cos(l * np.pi * z)
-    return Field3D(0.5 * v)
+    return 0.5 * v
 
 
 def subband_bound(mu: float) -> float:
@@ -145,7 +150,7 @@ def choose_J_max(mu_estimate: float) -> int:
 
 def assemble_density(
     spectrum: SubbandSpectrum, mu: float, model: OccupancyModel, grid: Grid
-) -> tuple[np.ndarray, Field3D]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-band lateral densities and the total density field.
 
     rho_j(y) = 2 pi G(mu - lambda_j(y)); rho(x) = sum_j rho_j(y) chi_j(x)^2.
@@ -153,7 +158,7 @@ def assemble_density(
     if spectrum.lam.shape[:2] != grid.lateral_shape:
         raise ValueError("spectrum does not match grid")
     rho_j = 2.0 * np.pi * model.profile_g(mu - spectrum.lam)
-    return rho_j, Field3D(band_sum_density(rho_j, spectrum.chi))
+    return rho_j, band_sum_density(rho_j, spectrum.chi)
 
 
 @dataclass(frozen=True)
@@ -211,10 +216,14 @@ class EquilibriumState:
 
     mu: float
     spectrum: SubbandSpectrum
-    U: Field3D
-    rho: Field3D
+    U: np.ndarray
     rho_j: np.ndarray
     energy: FreeEnergyBreakdown
+
+    @property
+    def rho(self) -> np.ndarray:
+        """Total density sum_j rho_j(y) chi_j(x)^2, shape volume_shape."""
+        return band_sum_density(self.rho_j, self.spectrum.chi)
 
     def mass(self, grid: Grid) -> float:
         return float(np.sum(self.rho_j) * grid.hy1 * grid.hy2)
@@ -233,10 +242,10 @@ class EquilibriumState:
         m = self.mass(grid)
         if abs(m - M_target) > 1e-8 * M_target:
             raise AssertionError(f"mass {m} misses target {M_target}")
-        _, rho = assemble_density(self.spectrum, self.mu, model, grid)
-        scale = max(1.0, float(np.max(np.abs(self.rho.values))))
-        if np.max(np.abs(rho.values - self.rho.values)) > 1e-12 * scale:
-            raise AssertionError("stored density is not the band sum")
+        rho_j, _ = assemble_density(self.spectrum, self.mu, model, grid)
+        scale = max(1.0, float(np.max(np.abs(self.rho_j))))
+        if np.max(np.abs(rho_j - self.rho_j)) > 1e-12 * scale:
+            raise AssertionError("stored band densities are not 2 pi G(mu - lambda_j)")
         if not np.all(np.diff(self.spectrum.lam, axis=2) > 1e-10):
             raise AssertionError("spectrum not strictly increasing in the band index")
 
@@ -273,8 +282,8 @@ def make_state(
     mu: float,
     grid: Grid,
     model: OccupancyModel,
-    vext: Field3D | None = None,
-    U: Field3D | None = None,
+    vext: np.ndarray,
+    U: np.ndarray | None = None,
 ) -> EquilibriumState:
     """Assemble a state, both free-energy routes included, from a spectrum and mu.
 
@@ -282,8 +291,6 @@ def make_state(
     density; passing U explicitly decouples the field (useful for oracle
     tests against closed forms).
     """
-    if vext is None:
-        vext = Field3D(np.zeros(grid.volume_shape))
     rho_j, rho = assemble_density(spectrum, mu, model, grid)
     if U is None:
         U = solve_poisson(rho, grid)
@@ -295,38 +302,35 @@ def make_state(
         field_energy=0.5 * dirichlet_energy(U, grid),
         casimir=float(model.T * 2.0 * np.pi * np.sum(model.profile_b(gap)) * area_w),
         quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
-        vext_pairing=external_pairing(rho_j, spectrum.chi, vext.values, grid),
+        vext_pairing=external_pairing(rho_j, spectrum.chi, vext, grid),
     )
-    return EquilibriumState(
-        mu=mu, spectrum=spectrum, U=U, rho=rho, rho_j=rho_j, energy=energy
-    )
+    return EquilibriumState(mu=mu, spectrum=spectrum, U=U, rho_j=rho_j, energy=energy)
 
 
 @dataclass(frozen=True)
 class _Cycle:
     """One evaluation of the fixed-point map: the potential U_in and the state it produces."""
 
-    U_in: Field3D
+    U_in: np.ndarray
     state: EquilibriumState
 
 
 def _evaluate_cycle(
-    U_in: Field3D, J: int, cfg: SolverConfig, vext: Field3D, guess: EquilibriumState | None = None
+    U_in: np.ndarray, J: int, cfg: SolverConfig, vext: np.ndarray,
+    guess: EquilibriumState | None = None,
 ) -> _Cycle:
     """The map at U_in; guess, the last cycle's state, starts the eigensolve and the mu solve."""
     grid = cfg.grid
-    W = (U_in.values + vext.values)[:, :, 1:-1]
+    W = (U_in + vext)[:, :, 1:-1]
     modes, mu_guess = (None, None) if guess is None else (guess.spectrum, guess.mu)
     spectrum = solve_slices(W, J, grid, modes)
-    mu = solve_mu(cfg.M_target, spectrum, grid, cfg.model, mu_guess=mu_guess)
+    mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
     return _Cycle(U_in, make_state(spectrum, mu, grid, cfg.model, vext))
 
 
 def _map_residual(cyc: _Cycle, grid: Grid) -> float:
     """||G(U) - U|| / (1 + ||U||) of one cycle."""
-    return l2_norm_volume(cyc.state.U.values - cyc.U_in.values, grid) / (
-        1.0 + l2_norm_volume(cyc.U_in.values, grid)
-    )
+    return l2_norm_volume(cyc.state.U - cyc.U_in, grid) / (1.0 + l2_norm_volume(cyc.U_in, grid))
 
 
 class _Anderson:
@@ -345,9 +349,9 @@ class _Anderson:
     def _inner(self, a, b) -> float:
         return float(np.sum(a * b * self.w))
 
-    def step(self, cyc: _Cycle, theta: float) -> Field3D:
+    def step(self, cyc: _Cycle, theta: float) -> np.ndarray:
         """(1 - theta) U + theta G(U), less the least-squares combination of the history."""
-        U, G = cyc.U_in.values, cyc.state.U.values
+        U, G = cyc.U_in, cyc.state.U
         U_new = (1.0 - theta) * U + theta * G
         H = np.array([[self._inner(p, q) for _, q in self.pairs] for _, p in self.pairs])
         while self.pairs:
@@ -362,19 +366,19 @@ class _Anderson:
             for g, (dU, df) in zip(gamma, self.pairs):
                 U_new -= g * dU
                 U_new -= (g * theta) * df
-        return Field3D(U_new)
+        return U_new
 
     def push(self, cyc: _Cycle, nxt: _Cycle) -> None:
         """Record the accepted step from cyc to nxt."""
-        dU = nxt.U_in.values - cyc.U_in.values
-        df = nxt.state.U.values - cyc.state.U.values
+        dU = nxt.U_in - cyc.U_in
+        df = nxt.state.U - cyc.state.U
         df -= dU
         self.pairs.append((dU, df))
         del self.pairs[:-ANDERSON_DEPTH]
 
 
 def fixed_point(
-    U0: Field3D, cfg: SolverConfig, vext: Field3D
+    U0: np.ndarray, cfg: SolverConfig, vext: np.ndarray
 ) -> tuple[EquilibriumState, IterationTrace]:
     """Anderson-accelerated, energy-guarded fixed-point iteration of the outer cycle, from U0.
 
@@ -429,7 +433,7 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
     Schrodinger-Poisson consistency.
     """
     if cfg.init_kind == "zero":
-        U0 = Field3D(np.zeros(cfg.grid.volume_shape))
+        U0 = np.zeros(cfg.grid.volume_shape)
     else:
         U0 = random_smooth_potential(cfg.grid, cfg.init_seed)
     return fixed_point(U0, cfg, external_potential(cfg))

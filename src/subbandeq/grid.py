@@ -6,7 +6,8 @@ interval (0, 1) in the confined z-direction.  Lateral fields live on the
 interior nodes only (homogeneous Dirichlet data is a zero extension);
 z-profiles live on the closed node set z_k = k/nz, k = 0..nz, so that the
 Neumann closure of the Poisson solver and the Dirichlet eigensolver share
-one node set.
+one node set.  Volume fields (potentials, densities) are plain float arrays
+of Grid.volume_shape.
 """
 
 from __future__ import annotations
@@ -80,25 +81,13 @@ class Grid:
         return self.ny1 * self.ny2 * self.hy1 * self.hy2
 
 
-@dataclass(frozen=True)
-class Field3D:
-    """Real scalar field on lateral nodes x closed z-nodes, shape (ny1, ny2, nz+1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3:
-            raise ValueError("Field3D expects a 3D array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("Field3D contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
 def _volume_values(f, grid: Grid) -> np.ndarray:
-    v = f.values if isinstance(f, Field3D) else np.asarray(f, dtype=float)
+    """f as a float array of grid.volume_shape (lateral nodes x closed z-nodes), all finite."""
+    v = np.asarray(f, dtype=float)
     if v.shape != grid.volume_shape:
         raise ValueError(f"volume field shape {v.shape} != grid {grid.volume_shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("volume field contains non-finite values")
     return v
 
 

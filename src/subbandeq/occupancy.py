@@ -19,6 +19,8 @@ The entropy density is the power family beta(s) = s^p / p (p > 1), for
 which all three profiles have closed forms, so the velocity plane is never
 discretized.  A fixed tanh-sinh rule over the occupation law
 (profiles_by_quadrature) is kept as the reference they are tested against.
+The mass function and the mu solve take the eigenvalues lambda_j(y) as one
+(ny1, ny2, J) array.
 """
 
 from __future__ import annotations
@@ -146,10 +148,10 @@ def profiles_by_quadrature(model: OccupancyModel, a: float) -> tuple[float, floa
 # ---- chemical potential ------------------------------------------------------
 
 
-def _lambda_array(spectrum) -> np.ndarray:
-    lam = spectrum.lam if hasattr(spectrum, "lam") else np.asarray(spectrum, dtype=float)
+def _lambda_array(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
     if lam.ndim != 3:
-        raise ValueError("spectrum must provide lambda_j(y) as an (ny1, ny2, J) array")
+        raise ValueError("eigenvalues lambda_j(y) must be an (ny1, ny2, J) array")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum contains non-finite eigenvalues")
     return lam
@@ -165,14 +167,14 @@ _ITP_N0 = 1
 _SECANT_GROWTH = 16.0
 
 
-def subband_mass(mu: float, spectrum, grid, model: OccupancyModel) -> float:
+def subband_mass(mu: float, lam, grid, model: OccupancyModel) -> float:
     """Total kinetic mass carried by the ansatz occupations at potential mu.
 
     Equals 2 pi sum_j int G(mu - lambda_j(y)) dy; nondecreasing and
     continuous in mu.  At T = 0 this is the explicit ramp formula
-    2 pi sum_j int (mu - lambda_j)_+ dy.
+    2 pi sum_j int (mu - lambda_j)_+ dy.  lam holds lambda_j(y), shape (ny1, ny2, J).
     """
-    lam = _lambda_array(spectrum)
+    lam = _lambda_array(lam)
     if lam.shape[:2] != grid.lateral_shape:
         raise ValueError("spectrum lateral shape does not match grid")
     g = model.profile_g(mu - lam)
@@ -181,7 +183,7 @@ def subband_mass(mu: float, spectrum, grid, model: OccupancyModel) -> float:
 
 def solve_mu(
     M: float,
-    spectrum,
+    lam,
     grid,
     model: OccupancyModel,
     mu_guess: float | None = None,
@@ -200,14 +202,14 @@ def solve_mu(
     """
     if not M > 0:
         raise ValueError("target mass must be positive")
-    lam = _lambda_array(spectrum)
+    lam = _lambda_array(lam)
     lo = float(np.min(lam[:, :, 0]))
     # Mass evaluations sum ~J * area/h^2 rounded terms of size ~eps * |mu|;
     # below that absolute noise the relative target is not representable.
     noise = 16.0 * np.pi * grid.lateral_area() * lam.shape[2] * np.finfo(float).eps
 
     def excess(mu):
-        return subband_mass(mu, spectrum, grid, model) - M
+        return subband_mass(mu, lam, grid, model) - M
 
     def hit(mu, e):
         return abs(e) <= max(MU_REL_TOL * M, noise * max(1.0, abs(mu)))

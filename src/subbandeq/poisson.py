@@ -14,7 +14,8 @@ I x I x Kz of Dirichlet second differences, trapezoid weights Wz and the
 Neumann stiffness Kz.  Closed-form type-I sine (lateral) and cosine (z)
 bases diagonalize it, so a solve is a forward transform, a diagonal divide
 and the inverse transform (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-1970): direct, exact to rounding and bitwise reproducible.
+1970): direct, exact to rounding and bitwise reproducible.  Fields in and
+out are float arrays of Grid.volume_shape; inputs must match it and be finite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .grid import Field3D, Grid, _volume_values
+from .grid import Grid, _volume_values
 
 
 def apply_operator(U: np.ndarray, grid: Grid) -> np.ndarray:
@@ -95,7 +96,7 @@ def _transform(x: np.ndarray, S1: np.ndarray, S2: np.ndarray, Z: np.ndarray) -> 
     return (S1 @ x.reshape(n1, n2 * nzp)).reshape(n1, n2, nzp)
 
 
-def solve_poisson(rho, grid: Grid) -> Field3D:
+def solve_poisson(rho, grid: Grid) -> np.ndarray:
     """Solve the mixed Dirichlet/Neumann problem for a given density.
 
     Direct: A U = (node volumes) * rho holds to rounding.
@@ -103,7 +104,7 @@ def solve_poisson(rho, grid: Grid) -> Field3D:
     S1, S2, V, inv = _spectral_factors(grid)
     b = grid.node_volumes() * _volume_values(rho, grid)
     coeffs = _transform(b, S1, S2, V) * inv
-    return Field3D(_transform(coeffs, S1, S2, V.T))
+    return _transform(coeffs, S1, S2, V.T)
 
 
 def dirichlet_energy(U, grid: Grid) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field3D, Grid
+from .grid import Grid
 from .occupancy import OccupancyModel
 from .poisson import dirichlet_energy, solve_poisson
 from .schrodinger import (
@@ -119,15 +119,15 @@ def pair_free_energy(
     pair: AdmissiblePair,
     grid: Grid,
     model: OccupancyModel,
-    vext: Field3D | None = None,
-) -> tuple[float, Field3D]:
+    vext: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """Free energy of a pair and the potential its density induces.
 
     Kinetic + confined kinetic + external pairing + field + T * Casimir,
     all on the pair's own quadratures.
     """
     rho_j = band_densities(pair)
-    U = solve_poisson(Field3D(band_sum_density(rho_j, pair.chi)), grid)
+    U = solve_poisson(band_sum_density(rho_j, pair.chi), grid)
     total = (
         velocity_kinetic(pair, grid)
         + confined_kinetic(rho_j, pair.chi, grid)
@@ -135,7 +135,7 @@ def pair_free_energy(
         + model.T * pair_casimir(pair, grid, model)
     )
     if vext is not None:
-        total += external_pairing(rho_j, pair.chi, vext.values, grid)
+        total += external_pairing(rho_j, pair.chi, vext, grid)
     return float(total), U
 
 

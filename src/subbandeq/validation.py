@@ -57,7 +57,7 @@ def poisson_convergence_study() -> dict:
     for n in resolutions:
         grid, u_star, rho = manufactured_poisson_case(n)
         U = solve_poisson(rho, grid)
-        errors.append(float(np.max(np.abs(U.values - u_star))))
+        errors.append(float(np.max(np.abs(U - u_star))))
         e = dirichlet_energy(U, grid)
         weak_defects.append(abs(potential_pairing(U, rho, grid) - e) / e)
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]

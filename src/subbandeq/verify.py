@@ -27,12 +27,13 @@ import numpy as np
 from .equilibrium import (
     EquilibriumState,
     SolverConfig,
+    NonConvergence,
     external_potential,
     fixed_point,
     solve_equilibrium,
     subband_bound,
 )
-from .grid import Field3D, Grid
+from .grid import Grid
 from .occupancy import OccupancyModel
 # Keep solve_slices, solve_poisson, pair_free_energy bound: perfbench/spans.py rebinds them.
 from .poisson import dirichlet_energy, gradient_distance, solve_poisson  # noqa: F401
@@ -225,12 +226,12 @@ class GridBase:
 
     pair: AdmissiblePair
     lam: np.ndarray
-    U: Field3D
+    U: np.ndarray
     mu: float
     F: float
     mass: float
     model: OccupancyModel
-    vext: Field3D
+    vext: np.ndarray
     grid: Grid
 
 
@@ -295,7 +296,7 @@ _BASE_MAX_STEPS = 400
 
 def grid_consistent_base(
     state: EquilibriumState,
-    vext: Field3D,
+    vext: np.ndarray,
     grid: Grid,
     model: OccupancyModel,
 ) -> GridBase:
@@ -316,7 +317,7 @@ def grid_consistent_base(
     )
     base, trace = fixed_point(state.U, cfg, vext)
     if not trace.converged:
-        raise RuntimeError(
+        raise NonConvergence(
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
             f"in {_BASE_MAX_STEPS} steps"
         )
@@ -402,7 +403,7 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
     pert.validate_orthonormal(base.grid)
     grid, model = base.grid, base.model
     F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
-    gap = 0.5 * dirichlet_energy(U_pert.values - base.U.values, grid)
+    gap = 0.5 * dirichlet_energy(U_pert - base.U, grid)
     lhs = F_pert - base.F
     w = _entropy_weight(base)
     wsum = np.einsum(
@@ -491,7 +492,7 @@ def check_uniqueness(cfg: SolverConfig) -> CheckReport:
     for c in starts:
         state, trace = solve_equilibrium(c)
         if not trace.converged:
-            raise RuntimeError("a uniqueness run failed to converge")
+            raise NonConvergence("a uniqueness run failed to converge")
         fields.append(state.U)
     zero = np.zeros(cfg.grid.volume_shape)
     worst = max(
@@ -575,7 +576,7 @@ def run_verification(
             raise ValueError(f"{name} must be at least 1, got {n}")
     state, trace = solve_equilibrium(cfg)
     if not trace.converged:
-        raise RuntimeError("equilibrium solve did not converge; cannot verify")
+        raise NonConvergence("equilibrium solve did not converge; cannot verify")
     grid, model = cfg.grid, cfg.model
     vext = external_potential(cfg)
     reports = [

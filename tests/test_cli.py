@@ -199,7 +199,7 @@ class TestSolve:
         state, trace = solve_equilibrium(solver_cfg)
         g = solver_cfg.grid
         y1, y2, z = g.y1_nodes(), g.y2_nodes(), g.z_nodes()
-        U, rho, lam = state.U.values, state.rho.values, state.spectrum.lam
+        U, rho, lam = state.U, state.rho, state.spectrum.lam
         lateral = [(i, k) for i in range(g.ny1) for k in range(g.ny2)]
         expected = {
             "fields.csv": reference_csv(
@@ -327,6 +327,11 @@ class TestVerify:
         for c in report["checks"]:
             assert set(c) == {"name", "pass", "lhs", "rhs", "ratio", "details"}
 
+    def test_nonconvergence_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**self.VCFG, "max_outer": 1})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "did not converge" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path, self.VCFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -419,21 +424,23 @@ class TestSweep:
         expected = reference_csv(["value", "mu", "J_active", "F_total", "iterations"], rows)
         assert (out / "sweep.csv").read_bytes() == expected.encode()
 
-    def test_empty_values_exit_1(self, tmp_path):
+    def test_empty_values_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST)
         assert (
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                   "--param", "M", "--values", ""])
             == 1
         )
+        assert capsys.readouterr().err.startswith("config error: ")
 
-    def test_bad_param_exit_1(self, tmp_path):
+    def test_bad_param_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST)
         assert (
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                   "--param", "Q", "--values", "1.0"])
             == 1
         )
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_temperature_sweep(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from subbandeq.equilibrium import (
     make_state,
     solve_equilibrium,
 )
-from subbandeq.grid import Field3D, Grid, l2_norm_volume
+from subbandeq.grid import Grid, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import gradient_distance, dirichlet_energy
 from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
@@ -46,11 +47,10 @@ def _patch_map(monkeypatch, g, G, F, log=None):
             self.spectrum = FakeSpectrum()
             self.mu = 1.0
             self.rho_j = np.zeros((g.ny1, g.ny2, 1))
-            self.rho = Field3D(np.zeros(g.volume_shape))
-            self.U = Field3D(G(U_in.values))
-            self.energy = FakeEnergy(F(U_in.values))
+            self.U = G(U_in)
+            self.energy = FakeEnergy(F(U_in))
             if log is not None:
-                log.append((U_in.values.copy(), self.energy.total_direct))
+                log.append((U_in.copy(), self.energy.total_direct))
 
     class FakeCycle:
         def __init__(self, U_in):
@@ -89,7 +89,7 @@ class TestAssembleDensity:
         spec = free_spectrum(g, 2)
         mu = float(np.min(spec.lam)) - 1.0
         rho_j, rho = assemble_density(spec, mu, OccupancyModel(T=0.0), g)
-        assert np.all(rho_j == 0.0) and np.all(rho.values == 0.0)
+        assert np.all(rho_j == 0.0) and np.all(rho == 0.0)
 
     def test_single_band_ramp(self):
         g = Grid(6, 6, 16)
@@ -109,21 +109,22 @@ class TestAssembleDensity:
         rho_j, rho = assemble_density(spec, mu, OccupancyModel(T=0.3, p=2.0), g)
         for i in range(5):
             for k in range(5):
-                marginal = np.sum(rho.values[i, k] * g.z_weights())
+                marginal = np.sum(rho[i, k] * g.z_weights())
                 assert marginal == pytest.approx(np.sum(rho_j[i, k]), rel=1e-10)
 
     def test_density_nonnegative(self):
         g = Grid(4, 4, 16)
         spec = free_spectrum(g, 3)
         _, rho = assemble_density(spec, 30.0, OccupancyModel(T=0.5, p=1.5), g)
-        assert np.min(rho.values) >= 0.0
+        assert np.min(rho) >= 0.0
 
 
 class TestFreeEnergy:
     def test_empty_state_all_zero(self):
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
-        state = make_state(spec, float(np.min(spec.lam)) - 1.0, g, OccupancyModel(T=0.0))
+        mu = float(np.min(spec.lam)) - 1.0
+        state = make_state(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         e = state.energy
         assert e.total_direct == 0.0 and e.total_primal == 0.0
         assert e.kinetic_v == e.band_energy == e.field_energy == e.casimir == 0.0
@@ -137,9 +138,8 @@ class TestFreeEnergy:
         M = 0.8
         A = g.lateral_area()
         mu = lam1 + M / (2.0 * np.pi * A)
-        state = make_state(
-            spec, mu, g, OccupancyModel(T=0.0), U=Field3D(np.zeros(g.volume_shape))
-        )
+        zero = np.zeros(g.volume_shape)
+        state = make_state(spec, mu, g, OccupancyModel(T=0.0), zero, U=zero)
         assert state.mass(g) == pytest.approx(M, rel=1e-12)
         oracle = M**2 / (4.0 * np.pi * A) + lam1 * M
         assert state.energy.total_primal == pytest.approx(oracle, rel=1e-12)
@@ -189,6 +189,10 @@ class TestSolveEquilibrium:
         assert trace.converged
         state.validate(g, model, cfg.M_target)
         state.spectrum.validate(g)
+        assert np.array_equal(state.rho, assemble_density(state.spectrum, state.mu, model, g)[1])
+        bad = dataclasses.replace(state, rho_j=state.rho_j * (1.0 + 1e-9))
+        with pytest.raises(AssertionError, match="band densities"):
+            bad.validate(g, model, cfg.M_target)
 
     def test_initialization_independence(self):
         g = Grid(6, 6, 16)
@@ -205,7 +209,7 @@ class TestSolveEquilibrium:
         cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), fp_tol=1e-9)
         s1, _ = solve_equilibrium(cfg)
         s2, _ = solve_equilibrium(cfg)
-        assert np.array_equal(s1.U.values, s2.U.values)
+        assert np.array_equal(s1.U, s2.U)
         assert s1.mu == s2.mu
 
     def test_full_solve_bitwise_identical_across_blas_thread_counts(self):
@@ -221,7 +225,7 @@ class TestSolveEquilibrium:
             "                   vext_kind='zwell', vext_amplitude=8.0)\n"
             "state, trace = solve_equilibrium(cfg)\n"
             "rows = np.array([trace.residuals, trace.mus, trace.free_energies, trace.thetas])\n"
-            "h = hashlib.sha256(np.float64(state.mu).tobytes() + state.U.values.tobytes())\n"
+            "h = hashlib.sha256(np.float64(state.mu).tobytes() + state.U.tobytes())\n"
             "h.update(rows.tobytes())\n"
             "print(trace.converged, trace.iterations, h.hexdigest())\n"
         )
@@ -258,7 +262,7 @@ class TestSolveEquilibrium:
 
         g = Grid(4, 4, 8)
         _patch_linear_map(monkeypatch, g, -4.0)
-        U0 = Field3D(np.ones(g.volume_shape))
+        U0 = np.ones(g.volume_shape)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=200)
         state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert eq.THETA_START == 0.5
@@ -278,7 +282,7 @@ class TestSolveEquilibrium:
         g = Grid(4, 4, 8)
         _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: -float(np.sum(U**2)))
         cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
-        _, trace = fixed_point(Field3D(np.ones(g.volume_shape)), cfg, external_potential(cfg))
+        _, trace = fixed_point(np.ones(g.volume_shape), cfg, external_potential(cfg))
         assert not trace.converged
         assert trace.theta_min_rises == 3
         assert trace.anderson_rejections == 2  # no history before the first step
@@ -294,7 +298,7 @@ class TestSolveEquilibrium:
         log = []
         _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: float(np.sum(U**2)), log)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=100)
-        U0 = Field3D(np.full(g.volume_shape, 3.0))
+        U0 = np.full(g.volume_shape, 3.0)
         _, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
         assert trace.anderson_rejections >= 1
@@ -325,7 +329,7 @@ class TestSolveEquilibrium:
         _patch_linear_map(monkeypatch, g, 0.5)
         monkeypatch.setattr(eq, "THETA_START", theta)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-6, max_outer=500)
-        state, trace = fixed_point(Field3D(np.ones(g.volume_shape)), cfg, external_potential(cfg))
+        state, trace = fixed_point(np.ones(g.volume_shape), cfg, external_potential(cfg))
         assert trace.converged
         assert l2_norm_volume(state.U, g) <= cfg.fp_tol
 
@@ -342,7 +346,7 @@ class TestSolveEquilibrium:
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)
-        U0 = Field3D(np.full(g.volume_shape, 0.3))
+        U0 = np.full(g.volume_shape, 0.3)
         cfg = SolverConfig(M_target=1.0, grid=g, vext_kind="zwell", fp_tol=1e-10)
         state, trace = fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
@@ -368,7 +372,8 @@ class TestActiveSubbands:
     def test_empty(self):
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
-        state = make_state(spec, float(np.min(spec.lam)) - 1.0, g, OccupancyModel(T=0.0))
+        mu = float(np.min(spec.lam)) - 1.0
+        state = make_state(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         r = check_subband_structure(state)
         assert r.passed and r.lhs == 0
 
@@ -388,7 +393,7 @@ class TestActiveSubbands:
         # mu = 5 gives cap sqrt(15)/pi + 1 ~ 2.23, so at most one active band
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
-        state = make_state(spec, 5.0, g, OccupancyModel(T=0.0))
+        state = make_state(spec, 5.0, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         r = check_subband_structure(state)
         assert r.rhs == pytest.approx(np.sqrt(15.0) / np.pi + 1.0)
         assert r.passed and r.lhs <= 1
@@ -398,7 +403,7 @@ class TestExternalPotential:
     def test_zwell_profile(self):
         g = Grid(4, 4, 16)
         cfg = SolverConfig(grid=g, vext_kind="zwell", vext_amplitude=8.0)
-        v = external_potential(cfg).values
+        v = external_potential(cfg)
         z = g.z_nodes()
         assert np.allclose(v[2, 2], 8.0 * z * (1.0 - z))
         assert np.min(v) >= 0.0
@@ -406,7 +411,7 @@ class TestExternalPotential:
     def test_bump_nonnegative_and_lateral(self):
         g = Grid(6, 6, 12)
         cfg = SolverConfig(grid=g, vext_kind="bump", vext_amplitude=3.0)
-        v = external_potential(cfg).values
+        v = external_potential(cfg)
         assert np.min(v) >= 0.0
         assert np.allclose(v[:, :, 0], v[:, :, -1])
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subbandeq.grid import Field3D, Grid, l2_norm_volume
+from subbandeq.grid import Grid, l2_norm_volume
+from subbandeq.poisson import dirichlet_energy, solve_poisson
 
 
 class TestGrid:
@@ -24,19 +25,26 @@ class TestGrid:
         assert np.sum(g.z_weights()) == pytest.approx(1.0, abs=1e-15)
 
 
+# Every function taking a volume field runs the same shape and finiteness check.
+VOLUME_FIELD_FUNCTIONS = (l2_norm_volume, dirichlet_energy, solve_poisson)
+
+
 class TestFields:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Field3D(np.full((2, 2, 5), np.inf))
-        with pytest.raises(ValueError):
-            Field3D(np.array([[[1.0, np.nan, 0.0, 1.0, 0.0]]]))
+        g = Grid(4, 4, 8)
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.ones(g.volume_shape)
+            v[1, 2, 3] = bad
+            for fn in VOLUME_FIELD_FUNCTIONS:
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(v, g)
 
     def test_shape_mismatch(self):
         g = Grid(4, 4, 8)
-        with pytest.raises(ValueError):
-            l2_norm_volume(Field3D(np.ones((3, 4, 9))), g)
-        with pytest.raises(ValueError):
-            l2_norm_volume(np.ones((4, 4, 8)), g)
+        for shape in ((3, 4, 9), (4, 4, 8), (4, 4), (1, 4, 4, 9)):
+            for fn in VOLUME_FIELD_FUNCTIONS:
+                with pytest.raises(ValueError, match="shape"):
+                    fn(np.ones(shape), g)
 
 
 class TestIntegrateLateral:

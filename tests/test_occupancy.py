@@ -9,19 +9,13 @@ from subbandeq.occupancy import (
     solve_mu,
     subband_mass,
 )
-from subbandeq.schrodinger import SubbandSpectrum
 
 
-def flat_spectrum(grid, levels):
-    """Constant-in-y synthetic spectrum with unit sine modes (unused by mass)."""
-    ny1, ny2 = grid.lateral_shape
-    lam = np.empty((ny1, ny2, len(levels)))
+def flat_levels(grid, levels):
+    """Constant-in-y synthetic eigenvalues, shape (ny1, ny2, len(levels))."""
+    lam = np.empty(grid.lateral_shape + (len(levels),))
     lam[:] = np.asarray(levels)
-    z = grid.z_nodes()[1:-1]
-    chi = np.empty((ny1, ny2, len(levels), grid.nz - 1))
-    for j in range(len(levels)):
-        chi[:, :, j, :] = np.sqrt(2.0) * np.sin((j + 1) * np.pi * z)
-    return SubbandSpectrum(lam=lam, chi=chi)
+    return lam
 
 
 def random_levels(grid, J, seed):
@@ -110,27 +104,26 @@ class TestProfiles:
 class TestMass:
     def test_zero_below_bottom(self):
         g = Grid(6, 6, 16)
-        spec = flat_spectrum(g, [2.0, 5.0])
-        assert subband_mass(1.9, spec, g, OccupancyModel(T=0.0)) == 0.0
+        lam = flat_levels(g, [2.0, 5.0])
+        assert subband_mass(1.9, lam, g, OccupancyModel(T=0.0)) == 0.0
 
     def test_flat_level_closed_form(self):
         # single reachable level at T = 0: M = 2 pi A (mu - c)+
         g = Grid(10, 10, 16)
         c = 2.0
-        spec = flat_spectrum(g, [c, 50.0])
+        lam = flat_levels(g, [c, 50.0])
         model = OccupancyModel(T=0.0)
         area = g.lateral_area()
         for mu in (2.5, 3.7):
             expected = 2.0 * np.pi * area * (mu - c)
-            assert subband_mass(mu, spec, g, model) == pytest.approx(expected, rel=1e-13)
+            assert subband_mass(mu, lam, g, model) == pytest.approx(expected, rel=1e-13)
 
     def test_monotone_in_mu(self):
         g = Grid(6, 6, 16)
         lam = random_levels(g, 4, seed=3)
-        spec_like = type("S", (), {"lam": lam})()
         model = OccupancyModel(T=0.3, p=2.0)
         mus = np.linspace(0.0, 40.0, 50)
-        masses = [subband_mass(m, spec_like, g, model) for m in mus]
+        masses = [subband_mass(m, lam, g, model) for m in mus]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
 
     def test_zero_temperature_formula_random_spectra(self):
@@ -139,10 +132,9 @@ class TestMass:
         model = OccupancyModel(T=0.0)
         for seed in range(20):
             lam = random_levels(g, 5, seed)
-            spec_like = type("S", (), {"lam": lam})()
             mu = float(np.median(lam))
             direct = 2.0 * np.pi * np.sum(np.maximum(mu - lam, 0.0)) * g.hy1 * g.hy2
-            assert subband_mass(mu, spec_like, g, model) == pytest.approx(
+            assert subband_mass(mu, lam, g, model) == pytest.approx(
                 direct, rel=1e-12, abs=1e-300
             )
 
@@ -151,10 +143,10 @@ class TestSolveMu:
     def test_flat_level_inversion(self):
         g = Grid(10, 10, 16)
         c = 2.0
-        spec = flat_spectrum(g, [c, 50.0])
+        lam = flat_levels(g, [c, 50.0])
         model = OccupancyModel(T=0.0)
         M = 1.3
-        mu = solve_mu(M, spec, g, model)
+        mu = solve_mu(M, lam, g, model)
         assert mu == pytest.approx(c + M / (2.0 * np.pi * g.lateral_area()), rel=1e-9)
 
     @pytest.mark.parametrize("T,p", [(0.0, 2.0), (0.4, 2.0), (0.2, 1.5)])
@@ -163,19 +155,17 @@ class TestSolveMu:
         model = OccupancyModel(T=T, p=p)
         for seed in range(5):
             lam = random_levels(g, 4, seed)
-            spec_like = type("S", (), {"lam": lam})()
             mu0 = float(np.min(lam)) + 1.7
-            M = subband_mass(mu0, spec_like, g, model)
-            mu = solve_mu(M, spec_like, g, model)
+            M = subband_mass(mu0, lam, g, model)
+            mu = solve_mu(M, lam, g, model)
             assert mu == pytest.approx(mu0, abs=1e-9 * max(1.0, mu0))
 
     def test_small_mass_limit(self):
         g = Grid(6, 6, 16)
         lam = random_levels(g, 3, seed=9)
-        spec_like = type("S", (), {"lam": lam})()
         model = OccupancyModel(T=0.0)
         bottom = float(np.min(lam[:, :, 0]))
-        mu = solve_mu(1e-9, spec_like, g, model)
+        mu = solve_mu(1e-9, lam, g, model)
         assert bottom < mu < bottom + 1e-3
 
     def test_step_like_mass_costs_at_most_bisection_plus_a_constant(self, monkeypatch):
@@ -184,7 +174,7 @@ class TestSolveMu:
         # ITP must then not fall behind bisection by more than a constant
         g = Grid(6, 6, 16)
         lo = 3.0
-        spec = flat_spectrum(g, [lo])
+        lam = flat_levels(g, [lo])
 
         class Step:
             T = 0.0
@@ -198,7 +188,7 @@ class TestSolveMu:
 
         def bisection_count(M, model):
             # the doubling bracket and bisection this solver replaced
-            mass = lambda mu: subband_mass(mu, spec, g, model)
+            mass = lambda mu: subband_mass(mu, lam, g, model)
             tol = occupancy.MU_REL_TOL * M
             hi, n = lo + 1.0, 1
             while mass(hi) < M:
@@ -227,8 +217,8 @@ class TestSolveMu:
                     with monkeypatch.context() as mp:
                         mp.setattr(occupancy, "subband_mass", counted)
                         calls.clear()
-                        mu = solve_mu(M, spec, g, model)
-                    assert abs(subband_mass(mu, spec, g, model) - M) <= occupancy.MU_REL_TOL * M
+                        mu = solve_mu(M, lam, g, model)
+                    assert abs(subband_mass(mu, lam, g, model) - M) <= occupancy.MU_REL_TOL * M
                     # two bracketing trials, ITP's lag of N0 + 1 halvings, the last midpoint
                     assert len(calls) <= n_bisect + occupancy._ITP_N0 + 4, (c, w, frac)
                     ours, theirs = ours + len(calls), theirs + n_bisect
@@ -236,9 +226,9 @@ class TestSolveMu:
 
     def test_errors(self):
         g = Grid(6, 6, 16)
-        spec = flat_spectrum(g, [2.0])
+        lam = flat_levels(g, [2.0])
         with pytest.raises(ValueError):
-            solve_mu(0.0, spec, g, OccupancyModel(T=0.0))
-        bad = type("S", (), {"lam": np.full((6, 6, 2), np.nan)})()
-        with pytest.raises(ValueError):
-            solve_mu(1.0, bad, g, OccupancyModel(T=0.0))
+            solve_mu(0.0, lam, g, OccupancyModel(T=0.0))
+        for bad in (np.full((6, 6, 2), np.nan), lam[:, :, 0], lam[:5]):
+            with pytest.raises(ValueError):
+                solve_mu(1.0, bad, g, OccupancyModel(T=0.0))

@@ -88,6 +88,16 @@ class TestSolveSlice:
         for j in range(6):
             assert np.sum(full[j] ** 2 * g.z_weights()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_sign_fixed_at_first_nonzero_sample(self):
+        # a 1e6 barrier on z < 0.6 makes every mode exactly 0 at the first
+        # interior node, so the sign is fixed at the first nonzero sample
+        g = Grid(2, 2, 64)
+        z = g.z_nodes()[1:-1]
+        _, chi = solve_slice(np.where(z < 0.6, 1e6, 0.0), 3, g)
+        assert np.all(chi[:, 0] == 0.0)
+        for c in chi:
+            assert c[np.flatnonzero(c)[0]] > 0.0
+
     def test_residual_and_orthogonality(self):
         g = Grid(2, 2, 64)
         rng = np.random.default_rng(5)
@@ -298,6 +308,24 @@ class TestWarmStart:
             ref = eigh_tridiagonal(a[i], np.full(n - 1, e), eigvals_only=True,
                                    select="i", select_range=(0, 5))
             assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dense_pairs_sorted_by_rayleigh_quotient(self):
+        # a symmetric double well: its two lowest eigenvalues agree to
+        # rounding, and the Rayleigh quotients of dense eigh's vectors can
+        # come out of order; the pairs are reordered together
+        g = Grid(2, 2, 64)
+        W = np.zeros(g.nz - 1)
+        W[[7, 8, 54, 55]] = -4000.0  # nodes z = 8/64, 9/64 and their mirror images
+        e = -0.5 / g.hz**2
+        a = 1.0 / g.hz**2 + W
+        _, ok = _warm(a[None], e, sine_modes(4, g)[None])
+        assert not np.any(ok)  # the slice reaches the dense eigensolver
+        lam, chi = solve_slice(W, 4, g)
+        assert np.all(np.diff(lam) >= 0.0)
+        rho = 8.0 * _EPS * (np.max(np.abs(a)) + 2.0 * abs(e))
+        for j in range(4):
+            r = tridiagonal_apply(W, chi[j], g) - lam[j] * chi[j]
+            assert np.linalg.norm(r) <= rho * np.linalg.norm(chi[j])
 
     def test_bitwise_identical_across_blas_thread_counts(self):
         script = (

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from subbandeq.equilibrium import SolverConfig, external_potential, solve_equilibrium
+from subbandeq.equilibrium import (
+    NonConvergence,
+    SolverConfig,
+    external_potential,
+    solve_equilibrium,
+)
 from subbandeq.grid import Grid
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import solve_poisson
@@ -159,13 +164,19 @@ class TestGridBase:
         assert abs(b.mu - state.mu) <= 1e-3
         _assert_pair_quadrature(b)
 
+    def test_unconverged_base_raises(self, solved, monkeypatch):
+        monkeypatch.setattr("subbandeq.verify._BASE_MAX_STEPS", 1)
+        cfg, state = solved
+        with pytest.raises(NonConvergence, match="did not re-converge"):
+            grid_consistent_base(state, external_potential(cfg), GRID, cfg.model)
+
 
 def _assert_pair_quadrature(base):
     """F and U of the base are those of its own pair, to rounding."""
     F, _ = pair_free_energy(base.pair, GRID, base.model, vext=base.vext)
     assert base.F == pytest.approx(F, rel=1e-12)
-    U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID).values
-    assert np.max(np.abs(base.U.values - U)) <= 1e-12 * np.max(np.abs(U))
+    U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID)
+    assert np.max(np.abs(base.U - U)) <= 1e-12 * np.max(np.abs(U))
 
 
 class TestCoercivity:
@@ -236,7 +247,6 @@ class TestStateChecks:
     def test_mu_bound_uncoupled_closed_form(self):
         # flat single band: mu = lam1 + M/(2 pi A), bound = M/(pi A) + 2 lam1 + ...
         from subbandeq.equilibrium import make_state
-        from subbandeq.grid import Field3D
         from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
 
         g = Grid(10, 10, 32)
@@ -245,7 +255,8 @@ class TestStateChecks:
         M = 1.0
         A = g.lateral_area()
         mu = lam1 + M / (2 * np.pi * A)
-        state = make_state(spec, mu, g, MODEL_T0, U=Field3D(np.zeros(g.volume_shape)))
+        zero = np.zeros(g.volume_shape)
+        state = make_state(spec, mu, g, MODEL_T0, zero, U=zero)
         r = check_mu_bound(state, MODEL_T0, M)
         assert r.passed
         hand_bound = 4.0 / M * (M**2 / (4 * np.pi * A) + lam1 * M)
@@ -279,6 +290,11 @@ class TestUniqueness:
         )
         r = check_uniqueness(cfg)
         assert r.passed
+
+    def test_unconverged_run_raises(self):
+        cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), vext_kind="zwell", max_outer=1)
+        with pytest.raises(NonConvergence, match="uniqueness run"):
+            check_uniqueness(cfg)
 
 
 class TestRearrangementInvariance:
