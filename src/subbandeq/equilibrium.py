@@ -7,6 +7,17 @@ One outer cycle maps a trial potential U to a new one:
       -> per-band densities rho_j = 2 pi G(mu - lambda_j) and total density
       -> Poisson solve for the induced potential U_new = G(U).
 
+The eigensolve computes only the bands the certificate needs: J = 2 on the
+first cycle, then one above the last cycle's occupied bands, J_active + 1.
+A band lying above mu on every slice carries exactly zero density, since
+the occupation law vanishes where the gap mu - lambda_j is negative.
+After the mu solve the cycle checks that its top band is empty,
+min_y lambda_J(y) > mu; if not, it adds one band and redoes the eigensolve
+and the mu solve from the cycle's own start (the last cycle's modes and
+mu), so the retried cycle is bit for bit the one a budget of J + 1 would
+have run.  At J = nz - 1 every discrete band is present and nothing can be
+cut off, so the retry stops there whatever the margin.
+
 Potentials and densities are float arrays of Grid.volume_shape; a state
 stores rho_j and derives the total density from it.
 
@@ -56,7 +67,7 @@ ENERGY_NOISE_REL = 1e-8
 THETA_START = 0.5
 THETA_MIN = 1e-3
 
-# Bands computed beyond the finite-subband bound.
+# Bands choose_J_max adds to the finite-subband bound.
 J_MARGIN = 2
 
 # Accepted steps the Anderson history spans.  It holds two volume vectors per
@@ -142,7 +153,7 @@ def subband_bound(mu: float) -> float:
 
 
 def choose_J_max(mu_estimate: float) -> int:
-    """Band budget from the finite-subband bound, recomputed every outer cycle."""
+    """Bands above the finite-subband bound, at least 4; verify perturbs this many."""
     if not math.isfinite(mu_estimate):
         raise ValueError("mu estimate must be finite")
     return max(4, math.ceil(subband_bound(mu_estimate)) + J_MARGIN)
@@ -319,12 +330,20 @@ def _evaluate_cycle(
     U_in: np.ndarray, J: int, cfg: SolverConfig, vext: np.ndarray,
     guess: EquilibriumState | None = None,
 ) -> _Cycle:
-    """The map at U_in; guess, the last cycle's state, starts the eigensolve and the mu solve."""
+    """The map at U_in with J <= nz - 1 bands or more; guess, the last cycle's state, starts it.
+
+    While the top band is occupied somewhere and J < nz - 1, J grows by one
+    and the eigensolve and the mu solve run again from the same start, so a
+    retried cycle is the one the larger budget would have run.
+    """
     grid = cfg.grid
     W = (U_in + vext)[:, :, 1:-1]
     modes, mu_guess = (None, None) if guess is None else (guess.spectrum, guess.mu)
-    spectrum = solve_slices(W, J, grid, modes)
-    mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
+    for J in range(J, grid.nz):
+        spectrum = solve_slices(W, J, grid, modes)
+        mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
+        if np.min(spectrum.lam[..., -1]) > mu:
+            break
     return _Cycle(U_in, make_state(spectrum, mu, grid, cfg.model, vext))
 
 
@@ -378,12 +397,13 @@ class _Anderson:
 
 
 def fixed_point(
-    U0: np.ndarray, cfg: SolverConfig, vext: np.ndarray
+    U0: np.ndarray, cfg: SolverConfig, vext: np.ndarray, min_bands: int = 1
 ) -> tuple[EquilibriumState, IterationTrace]:
     """Anderson-accelerated, energy-guarded fixed-point iteration of the outer cycle, from U0.
 
     cfg.model supplies the gap profiles G, K, B (and T) that turn each
-    spectrum into a mass, a density and a free energy.  Stops at the first
+    spectrum into a mass, a density and a free energy.  Every cycle
+    computes at least min_bands bands (at most nz - 1).  Stops at the first
     cycle, the starting one included, whose map residual is at most
     cfg.fp_tol, or after cfg.max_outer accepted steps; returns the state
     of that cycle and one trace row per accepted step.  trace.final_residual
@@ -393,12 +413,11 @@ def fixed_point(
     trace = IterationTrace()
     theta = THETA_START
     history = _Anderson(grid)
-    J = min(choose_J_max(0.0), grid.nz - 1)
-    cyc = _evaluate_cycle(U0, J, cfg, vext)
+    cyc = _evaluate_cycle(U0, min(max(2, min_bands), grid.nz - 1), cfg, vext)
     residual = _map_residual(cyc, grid)
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
         cur = cyc.state
-        J = min(choose_J_max(cur.mu), grid.nz - 1)
+        J = min(max(cur.j_active + 1, min_bands), grid.nz - 1)
         # Evaluation noise in F (the mu solve's mass tolerance) sits near
         # 1e-9 relative; increases below this floor are not energy climbing.
         accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cur.energy.total_direct))

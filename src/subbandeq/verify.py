@@ -28,6 +28,7 @@ from .equilibrium import (
     EquilibriumState,
     SolverConfig,
     NonConvergence,
+    choose_J_max,
     external_potential,
     fixed_point,
     solve_equilibrium,
@@ -305,7 +306,9 @@ def grid_consistent_base(
     Runs the equilibrium fixed-point loop from state.U at the state's mass,
     with the speed-grid profiles of model in place of the closed forms,
     until the potential's map residual is at most 1e-9; the discrete
-    coercivity chain then closes up to that residual.
+    coercivity chain then closes up to that residual.  The base keeps
+    choose_J_max(mu) bands (at most nz - 1), so the perturbation families
+    have unoccupied bands to move occupation into.
     """
     vgrid = speed_grid_for(state.mu, float(np.min(state.spectrum.lam[:, :, 0])))
     cfg = SolverConfig(
@@ -315,7 +318,7 @@ def grid_consistent_base(
         fp_tol=_BASE_FP_TOL,
         max_outer=_BASE_MAX_STEPS,
     )
-    base, trace = fixed_point(state.U, cfg, vext)
+    base, trace = fixed_point(state.U, cfg, vext, min_bands=choose_J_max(state.mu))
     if not trace.converged:
         raise NonConvergence(
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "

@@ -46,6 +46,7 @@ def _patch_map(monkeypatch, g, G, F, log=None):
         def __init__(self, U_in):
             self.spectrum = FakeSpectrum()
             self.mu = 1.0
+            self.j_active = 1
             self.rho_j = np.zeros((g.ny1, g.ny2, 1))
             self.U = G(U_in)
             self.energy = FakeEnergy(F(U_in))
@@ -343,6 +344,41 @@ class TestSolveEquilibrium:
         assert trace.iterations == 0
         assert trace.final_residual <= cfg.fp_tol
         assert again.mu == pytest.approx(state.mu, rel=1e-9)
+
+    def test_cold_start_retries_until_top_band_empty(self, monkeypatch):
+        # three bands are occupied at M = 400, so the first cycle's budget of
+        # two is retried at three and four.  A retried cycle is the one the
+        # larger budget runs, so mu is bit for bit that of a solve that
+        # computes choose_J_max(mu) bands on every cycle
+        import subbandeq.equilibrium as eq
+
+        budgets = []
+
+        def recording(W, J, grid, guess=None):
+            budgets.append(J)
+            return solve_slices(W, J, grid, guess)
+
+        monkeypatch.setattr(eq, "solve_slices", recording)
+        cfg = SolverConfig(M_target=400.0, grid=Grid(8, 8, 8), vext_kind="zwell")
+        state, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert budgets[:3] == [2, 3, 4]
+        assert state.j_active == 3
+        assert state.spectrum.J == 4
+        assert state.top_band_margin > 0.0
+        assert state.mu == 69.7248002846568
+
+    def test_budget_capped_at_every_discrete_band(self):
+        # nz = 4 has 3 interior nodes, so 3 bands are all there are; at
+        # M = 3000 every one is occupied and the solve runs with a negative
+        # top-band margin rather than asking for a fourth band; mu is that of
+        # a solve with all 3 bands on every cycle
+        cfg = SolverConfig(M_target=3000.0, grid=Grid(4, 4, 4), vext_kind="zwell")
+        state, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert state.spectrum.J == state.j_active == 3
+        assert state.top_band_margin < 0.0
+        assert state.mu == 507.47492884761533
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)

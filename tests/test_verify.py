@@ -4,6 +4,7 @@ import pytest
 from subbandeq.equilibrium import (
     NonConvergence,
     SolverConfig,
+    choose_J_max,
     external_potential,
     solve_equilibrium,
 )
@@ -151,6 +152,13 @@ class TestGridBase:
         assert base.mass == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(base.pair.f, axis=2) <= 1e-15)
         _assert_pair_quadrature(base)
+
+    def test_base_keeps_the_perturbation_bands(self, solved, base):
+        # the solve itself needs J_active + 1 bands; the base keeps the
+        # unoccupied ones the occupation bumps move mass into
+        _, state = solved
+        assert state.spectrum.J == state.j_active + 1
+        assert base.pair.J == base.lam.shape[2] == choose_J_max(state.mu)
 
     def test_zero_temperature_base(self):
         cfg = SolverConfig(
