@@ -47,12 +47,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _not_boolean(value, key: str):
+    """The value, unless it is a boolean: no key takes one, and JSON true would pass as 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must not be a boolean, got {json.dumps(value)}")
+    return value
+
+
 def _merge_section(name: str, user: dict) -> dict:
     merged = dict(CONFIG_DEFAULTS[name])
     for key, val in user.items():
         if key not in merged:
             raise ConfigError(f"unknown key {name}.{key!r}")
-        merged[key] = val
+        merged[key] = _not_boolean(val, f"{name}.{key}")
     return merged
 
 
@@ -71,7 +78,7 @@ def load_config(path) -> dict:
                 raise ConfigError(f"section {key!r} must be an object")
             merged[key] = _merge_section(key, user)
         else:
-            merged[key] = raw.get(key, default)
+            merged[key] = _not_boolean(raw.get(key, default), key)
     unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -156,8 +163,7 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
             "converged": trace.converged,
             "mass": state.mass(grid),
             "top_band_margin": state.top_band_margin,
-            "theta_min_rises": trace.theta_min_rises,
-            "anderson_rejections": trace.anderson_rejections,
+            "rejected_trials": trace.rejected_trials,
         },
         out / "state.json",
     )
@@ -198,8 +204,6 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     state, trace = solve_equilibrium(cfg)
     _write_solution(state, trace, cfg, out)
-    if n := trace.theta_min_rises:
-        print(f"note: {n} step(s) accepted at theta_min raised the free energy", file=sys.stderr)
     return 0 if trace.converged else 2
 
 

@@ -23,24 +23,25 @@ stores rho_j and derives the total density from it.
 
 The next trial is an Anderson-mixed step (type II, Walker & Ni 2011): the
 damped step U + theta (G(U) - U), theta = THETA_START at first, corrected
-by a least-squares fit over the last ANDERSON_DEPTH steps.  The free energy
-guards every step: an accelerated trial that raises the (directly
-evaluated) free energy clears the history and is replaced by the plain
-damped step, and a damped step that raises it is retried with theta
-halved.  So the recorded free energy is nonincreasing after the first
-accepted step; only a step taken at THETA_MIN may raise it, and the trace
-counts those steps and the rejected accelerated trials.  The loop stops at
-the first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
-tolerance, so the certificate does not depend on theta.  fixed_point runs
-the loop for any object with the gap profiles of OccupancyModel; verify
-runs it with speed-grid profiles for its grid-consistent base.  Everything
-is deterministic for a fixed configuration, also across BLAS thread counts.
+by a least-squares fit over the last ANDERSON_DEPTH steps.  The dual free
+energy of the map's input, D(U) = kinetic_v + band_energy + casimir -
+(1/2) ||grad U||^2, guards every step: it is concave with gradient G(U) - U
+in the Dirichlet inner product, and F - D = (1/2) ||grad (G(U) - U)||^2
+for the free energy F of the output state (F. Nier, Comm. PDE 18, 1993).
+A trial that lowers D below its noise floor is rejected: an accelerated one
+clears the history, a damped one is retried with theta halved, and when a
+damped one at THETA_MIN fails too the solve stops unconverged.  F is
+nonincreasing on every measured solve, but nothing enforces that.  The
+loop stops at the first cycle whose map residual ||G(U) - U|| / (1 + ||U||)
+meets the tolerance, so the certificate does not depend on theta; it runs
+for any object with the gap profiles of OccupancyModel (verify passes
+speed-grid ones) and is deterministic, also across BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .poisson import dirichlet_energy, solve_poisson
 from .schrodinger import (
     SubbandSpectrum,
     band_sum_density,
+    band_total,
     confined_kinetic,
     external_pairing,
     solve_slices,
@@ -58,12 +60,12 @@ from .schrodinger import (
 VEXT_KINDS = ("zero", "zwell", "bump")
 INIT_KINDS = ("zero", "random")
 
-# Relative noise floor of one free-energy evaluation; free-energy increases
-# below it do not trigger damping and the recorded trace is monotone up to it.
+# Relative noise floor of one energy evaluation: a trial whose dual falls by
+# less is accepted, and the recorded free energy is monotone up to it.
 ENERGY_NOISE_REL = 1e-8
 
-# Damping factor of the first step, and the smallest one: a damped step at
-# THETA_MIN is accepted even if F rises.
+# Damping factor of the first step, and the smallest one: when a damped step
+# at THETA_MIN lowers the dual the solve stops unconverged.
 THETA_START = 0.5
 THETA_MIN = 1e-3
 
@@ -204,16 +206,8 @@ class FreeEnergyBreakdown:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "kinetic_v": self.kinetic_v,
-            "band_energy": self.band_energy,
-            "field_energy": self.field_energy,
-            "casimir": self.casimir,
-            "quantum_kinetic": self.quantum_kinetic,
-            "vext_pairing": self.vext_pairing,
-            "total_primal": self.total_primal,
-            "total_direct": self.total_direct,
-        }
+        totals = {"total_primal": self.total_primal, "total_direct": self.total_direct}
+        return {**asdict(self), **totals}
 
 
 @dataclass(frozen=True)
@@ -272,10 +266,8 @@ class IterationTrace:
     converged: bool = False
     # Map residual of the returned cycle, also when no step was taken.
     final_residual: float = math.nan
-    # Steps accepted at THETA_MIN although they raised the free energy.
-    theta_min_rises: int = 0
-    # Accelerated trials that raised the free energy and gave way to a damped step.
-    anderson_rejections: int = 0
+    # Trials that lowered the dual and were retried or ended the solve.
+    rejected_trials: int = 0
 
     @property
     def iterations(self) -> int:
@@ -308,10 +300,10 @@ def make_state(
     area_w = grid.hy1 * grid.hy2
     gap = mu - spectrum.lam
     energy = FreeEnergyBreakdown(
-        kinetic_v=float(2.0 * np.pi * np.sum(model.profile_k(gap)) * area_w),
-        band_energy=float(np.sum(spectrum.lam * rho_j) * area_w),
+        kinetic_v=2.0 * np.pi * band_total(model.profile_k(gap)) * area_w,
+        band_energy=band_total(spectrum.lam * rho_j) * area_w,
         field_energy=0.5 * dirichlet_energy(U, grid),
-        casimir=float(model.T * 2.0 * np.pi * np.sum(model.profile_b(gap)) * area_w),
+        casimir=model.T * 2.0 * np.pi * band_total(model.profile_b(gap)) * area_w,
         quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
         vext_pairing=external_pairing(rho_j, spectrum.chi, vext, grid),
     )
@@ -320,10 +312,11 @@ def make_state(
 
 @dataclass(frozen=True)
 class _Cycle:
-    """One evaluation of the fixed-point map: the potential U_in and the state it produces."""
+    """One evaluation of the fixed-point map: input U_in, the state it produces, and D(U_in)."""
 
     U_in: np.ndarray
     state: EquilibriumState
+    dual: float
 
 
 def _evaluate_cycle(
@@ -344,7 +337,10 @@ def _evaluate_cycle(
         mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
         if np.min(spectrum.lam[..., -1]) > mu:
             break
-    return _Cycle(U_in, make_state(spectrum, mu, grid, cfg.model, vext))
+    state = make_state(spectrum, mu, grid, cfg.model, vext)
+    e = state.energy
+    dual = e.kinetic_v + e.band_energy + e.casimir - 0.5 * dirichlet_energy(U_in, grid)
+    return _Cycle(U_in, state, dual)
 
 
 def _map_residual(cyc: _Cycle, grid: Grid) -> float:
@@ -399,15 +395,16 @@ class _Anderson:
 def fixed_point(
     U0: np.ndarray, cfg: SolverConfig, vext: np.ndarray, min_bands: int = 1
 ) -> tuple[EquilibriumState, IterationTrace]:
-    """Anderson-accelerated, energy-guarded fixed-point iteration of the outer cycle, from U0.
+    """Anderson-accelerated fixed-point iteration of the outer cycle, from U0, ascending the dual.
 
     cfg.model supplies the gap profiles G, K, B (and T) that turn each
     spectrum into a mass, a density and a free energy.  Every cycle
     computes at least min_bands bands (at most nz - 1).  Stops at the first
     cycle, the starting one included, whose map residual is at most
-    cfg.fp_tol, or after cfg.max_outer accepted steps; returns the state
-    of that cycle and one trace row per accepted step.  trace.final_residual
-    is the returned cycle's map residual.
+    cfg.fp_tol, after cfg.max_outer accepted steps, or when even a damped
+    step at THETA_MIN lowers the dual; returns the state of that cycle and
+    one trace row per accepted step.  trace.final_residual is the returned
+    cycle's map residual.
     """
     grid = cfg.grid
     trace = IterationTrace()
@@ -418,21 +415,20 @@ def fixed_point(
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
         cur = cyc.state
         J = min(max(cur.j_active + 1, min_bands), grid.nz - 1)
-        # Evaluation noise in F (the mu solve's mass tolerance) sits near
-        # 1e-9 relative; increases below this floor are not energy climbing.
-        accept_tol = ENERGY_NOISE_REL * (1.0 + abs(cur.energy.total_direct))
+        floor = cyc.dual - ENERGY_NOISE_REL * (1.0 + abs(cyc.dual))
         while True:
             nxt = _evaluate_cycle(history.step(cyc, theta), J, cfg, vext, cur)
-            if nxt.state.energy.total_direct <= cur.energy.total_direct + accept_tol:
+            if nxt.dual >= floor:
                 break
+            trace.rejected_trials += 1
             if history.pairs:
                 history.pairs.clear()
-                trace.anderson_rejections += 1
-                continue
-            if theta <= THETA_MIN:
-                trace.theta_min_rises += 1
+            elif theta > THETA_MIN:
+                theta *= 0.5
+            else:
                 break
-            theta *= 0.5
+        if nxt.dual < floor:
+            break
         history.push(cyc, nxt)
         cyc = nxt
         residual = _map_residual(cyc, grid)

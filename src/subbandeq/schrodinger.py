@@ -103,9 +103,14 @@ def band_sum_density(rho_j: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.einsum("abj,abjz->abz", rho_j, zero_extend(chi) ** 2)
 
 
+def band_total(x: np.ndarray) -> float:
+    """Sum of x (ny1, ny2, J), bands first and in order: empty trailing bands change no digit."""
+    return float(np.sum(np.cumsum(x, axis=2)[..., -1]))
+
+
 def confined_kinetic(rho_j: np.ndarray, chi: np.ndarray, grid: Grid) -> float:
     """(1/2) sum_j int |d chi_j/dz|^2 rho_j dy."""
-    return float(0.5 * np.sum(profile_kinetic_energy(chi, grid) * rho_j) * (grid.hy1 * grid.hy2))
+    return 0.5 * band_total(profile_kinetic_energy(chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
 def mode_expectations(W: np.ndarray, chi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -118,7 +123,7 @@ def mode_expectations(W: np.ndarray, chi: np.ndarray, grid: Grid) -> np.ndarray:
 
 def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
     """sum_j int V chi_j^2 rho_j dx, V sampled on lateral nodes x closed z-nodes."""
-    return float(np.sum(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2))
+    return band_total(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
 # Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)

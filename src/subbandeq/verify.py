@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -66,14 +66,9 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "details": self.details,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def _ratio(lhs: float, rhs: float) -> float:

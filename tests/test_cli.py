@@ -129,8 +129,7 @@ class TestSolve:
         assert state["mass"] == pytest.approx(1.0, rel=1e-8)
         assert state["residual"] <= 1e-8
         assert state["top_band_margin"] > 0.0
-        assert state["theta_min_rises"] == 0
-        assert state["anderson_rejections"] == 0
+        assert state["rejected_trials"] == 0
         assert json.dumps(state, sort_keys=True, indent=2) + "\n" == raw
 
     def test_converged_start_reports_its_residual(self, tmp_path):
@@ -142,36 +141,20 @@ class TestSolve:
         assert state["converged"] is True and state["iterations"] == 0
         assert isinstance(state["residual"], float) and state["residual"] <= 1e-8
 
-    def test_theta_min_rises_noted_on_stderr(self, tmp_path, capsys, monkeypatch):
-        import subbandeq.cli as cli
-
-        real = cli.solve_equilibrium
-
-        def solve_with_rises(cfg):
-            state, trace = real(cfg)
-            trace.theta_min_rises = 2
-            return state, trace
-
-        monkeypatch.setattr(cli, "solve_equilibrium", solve_with_rises)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", write_config(tmp_path, FAST), "--out", str(out)]) == 0
-        assert "2 step(s) accepted at theta_min" in capsys.readouterr().err
-        assert json.loads((out / "state.json").read_text())["theta_min_rises"] == 2
-
-    def test_anderson_rejections_written(self, tmp_path, monkeypatch):
+    def test_rejected_trials_written(self, tmp_path, monkeypatch):
         import subbandeq.cli as cli
 
         real = cli.solve_equilibrium
 
         def solve_with_rejections(cfg):
             state, trace = real(cfg)
-            trace.anderson_rejections = 3
+            trace.rejected_trials = 3
             return state, trace
 
         monkeypatch.setattr(cli, "solve_equilibrium", solve_with_rejections)
         out = tmp_path / "out"
         assert main(["solve", "--config", write_config(tmp_path, FAST), "--out", str(out)]) == 0
-        assert json.loads((out / "state.json").read_text())["anderson_rejections"] == 3
+        assert json.loads((out / "state.json").read_text())["rejected_trials"] == 3
 
     def test_csv_round_trip_doubles(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
@@ -279,8 +262,14 @@ class TestSolve:
              "config error: verify.n_pairs must be at least 1"),
             ("verify", {"verify": {"n_perturbations": 0}},
              "config error: verify.n_perturbations must be at least 1"),
+            # JSON true would pass as the number 1
+            ("solve", {"M_target": True}, "config error: M_target must not be a boolean"),
+            ("solve", {"max_outer": True}, "config error: max_outer must not be a boolean"),
+            ("verify", {"verify": {"n_pairs": True}},
+             "config error: verify.n_pairs must not be a boolean"),
         ],
-        ids=["nz", "max_outer", "n_pairs", "n_pairs_0", "n_perturbations_0"],
+        ids=["nz", "max_outer", "n_pairs", "n_pairs_0", "n_perturbations_0",
+             "M_target_true", "max_outer_true", "n_pairs_true"],
     )
     def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra, message):
         cfg = write_config(tmp_path, {**FAST, **extra})

@@ -20,7 +20,7 @@ from subbandeq.equilibrium import (
 from subbandeq.grid import Grid, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import gradient_distance, dirichlet_energy
-from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
+from subbandeq.schrodinger import SubbandSpectrum, free_mode_eigenvalue, solve_slices
 from subbandeq.verify import check_subband_structure
 
 
@@ -28,10 +28,11 @@ def free_spectrum(grid, J):
     return solve_slices(np.zeros((grid.ny1, grid.ny2, grid.nz - 1)), J, grid)
 
 
-def _patch_map(monkeypatch, g, G, F, log=None):
-    """Replace the outer cycle by U -> G(U) with free energy F(U) (arrays in, float out).
+def _patch_map(monkeypatch, g, G, D, log=None):
+    """Replace the outer cycle by U -> G(U) with dual D(U) (arrays in, float out).
 
-    log, if given, receives (U_in, F) of every evaluation.
+    The state's free energy, which only the trace records, is D(U) too.
+    log, if given, receives (U_in, D) of every evaluation.
     """
     import subbandeq.equilibrium as eq
 
@@ -43,27 +44,28 @@ def _patch_map(monkeypatch, g, G, F, log=None):
             self.total_direct = F
 
     class FakeState:
-        def __init__(self, U_in):
+        def __init__(self, U_in, dual):
             self.spectrum = FakeSpectrum()
             self.mu = 1.0
             self.j_active = 1
             self.rho_j = np.zeros((g.ny1, g.ny2, 1))
             self.U = G(U_in)
-            self.energy = FakeEnergy(F(U_in))
-            if log is not None:
-                log.append((U_in.copy(), self.energy.total_direct))
+            self.energy = FakeEnergy(dual)
 
     class FakeCycle:
         def __init__(self, U_in):
             self.U_in = U_in
-            self.state = FakeState(U_in)
+            self.dual = D(U_in)
+            self.state = FakeState(U_in, self.dual)
+            if log is not None:
+                log.append((U_in.copy(), self.dual))
 
     monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext, guess=None: FakeCycle(U))
 
 
 def _patch_linear_map(monkeypatch, g, factor):
-    """Replace the outer cycle by U -> factor * U with free energy |U|^2."""
-    _patch_map(monkeypatch, g, lambda U: factor * U, lambda U: float(np.sum(U**2)))
+    """Replace the outer cycle by U -> factor * U with dual -|U|^2, largest at the fixed point 0."""
+    _patch_map(monkeypatch, g, lambda U: factor * U, lambda U: -float(np.sum(U**2)))
 
 
 class TestChooseJMax:
@@ -146,6 +148,24 @@ class TestFreeEnergy:
         assert state.energy.total_primal == pytest.approx(oracle, rel=1e-12)
         # the spectrum is exact for the zero potential, so both routes agree
         assert state.energy.total_direct == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("J", [3, 7])
+    @pytest.mark.parametrize("T", [0.0, 0.3])
+    def test_energies_ignore_empty_bands(self, J, T):
+        # bands above mu add exact zeros, so two more of them (the first J
+        # bands bitwise equal, mu the same) leave every energy digit alone
+        g = Grid(9, 7, 16)
+        rng = np.random.default_rng(4)
+        wide = solve_slices(rng.uniform(0.0, 20.0, (g.ny1, g.ny2, g.nz - 1)), J + 2, g)
+        narrow = SubbandSpectrum(wide.lam[..., :J], wide.chi[..., :J, :])
+        mu = float(np.min(wide.lam[..., J])) - 1e-3
+        assert mu > np.max(wide.lam[..., J - 1])
+        vext = rng.uniform(0.0, 5.0, g.volume_shape)
+        U = rng.standard_normal(g.volume_shape)
+        model = OccupancyModel(T=T)
+        a = make_state(narrow, mu, g, model, vext, U=U).energy
+        b = make_state(wide, mu, g, model, vext, U=U).energy
+        assert a.as_dict() == b.as_dict()
 
     def test_primal_equals_direct_on_converged(self):
         cfg = SolverConfig(
@@ -253,71 +273,118 @@ class TestSolveEquilibrium:
         assert not trace.converged
         assert trace.iterations == 2
 
-    def test_adaptive_damping_halves_on_energy_increase(self, monkeypatch):
-        # physical desk-scale maps are contractive enough that full steps
-        # never raise the free energy, so the reject path is exercised with
-        # a synthetic overcorrecting map: U -> -4 U, free energy |U|^2.  The
-        # damped step at THETA_START = 0.5 scales U by -1.5 and diverges; one
-        # halving to theta = 0.25 scales it by -0.25 and contracts.
+    def test_adaptive_damping_halves_on_dual_decrease(self, monkeypatch):
+        # physical desk-scale maps never lower the dual on a full step, so
+        # the reject path is exercised with a synthetic overcorrecting map:
+        # U -> -4 U, dual -|U|^2.  The damped step at THETA_START = 0.5
+        # scales U by -1.5 and lowers the dual; one halving to theta = 0.25
+        # scales it by -0.25 and raises it.
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
-        _patch_linear_map(monkeypatch, g, -4.0)
+        log = []
+        _patch_map(monkeypatch, g, lambda U: -4.0 * U, lambda U: -float(np.sum(U**2)), log)
         U0 = np.ones(g.volume_shape)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=200)
         state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert eq.THETA_START == 0.5
         assert trace.converged
+        assert trace.rejected_trials == 1
+        assert np.array_equal(log[1][0], -1.5 * U0)  # the rejected trial
         assert trace.thetas[0] == 0.25  # halved once on the first rejected trial
         assert all(t == 0.25 for t in trace.thetas)
-        noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
-        assert np.all(np.diff(trace.free_energies) <= noise)
+        duals = [D for _, D in log[:1] + log[2:]]
+        assert np.all(np.diff(duals) >= 0.0)
 
-    def test_rising_steps_at_theta_min_are_counted(self, monkeypatch):
-        # U -> U / 2 with free energy -|U|^2: every trial shrinks |U|, so
-        # every trial raises F.  The accelerated trial (exact for a linear
-        # map) gives way to the damped step, which halves theta down to
-        # THETA_MIN and is then accepted with a rising free energy.
-        import subbandeq.equilibrium as eq
-
-        g = Grid(4, 4, 8)
-        _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: -float(np.sum(U**2)))
-        cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
-        _, trace = fixed_point(np.ones(g.volume_shape), cfg, external_potential(cfg))
-        assert not trace.converged
-        assert trace.theta_min_rises == 3
-        assert trace.anderson_rejections == 2  # no history before the first step
-        assert all(t <= eq.THETA_MIN for t in trace.thetas)
-
-    def test_rejected_acceleration_falls_back_to_damped_step(self, monkeypatch):
-        # U -> U - tanh(U) from U = 3: the residual is nearly flat there, so
-        # the secant-like accelerated trial overshoots far past the fixed
-        # point 0 and raises F = |U|^2, while the damped step lowers it
+    def test_solve_stops_when_no_step_raises_the_dual(self, monkeypatch):
+        # U -> U / 2 with dual +|U|^2: every trial shrinks |U| and lowers the
+        # dual.  With no history yet the damped trial is retried at theta
+        # = 0.5 * 2^-k, k = 0..9; the last lies below THETA_MIN, so the solve
+        # stops at the start, unconverged and without a step
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
         log = []
-        _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: float(np.sum(U**2)), log)
+        _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: float(np.sum(U**2)), log)
+        cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
+        U0 = np.ones(g.volume_shape)
+        state, trace = fixed_point(U0, cfg, external_potential(cfg))
+        assert not trace.converged
+        assert trace.iterations == 0
+        assert trace.rejected_trials == 10
+        thetas = [0.5 * 2.0**-k for k in range(10)]
+        assert thetas[-1] <= eq.THETA_MIN < thetas[-2]
+        assert len(log) == 11
+        for (U, _), theta in zip(log[1:], thetas):
+            assert np.array_equal(U, (1.0 - theta) * U0 + theta * (0.5 * U0))
+        assert np.array_equal(state.U, 0.5 * U0)
+        norm = l2_norm_volume(U0, g)
+        assert trace.final_residual == pytest.approx(0.5 * norm / (1.0 + norm))
+
+    def test_rejected_acceleration_falls_back_to_damped_step(self, monkeypatch):
+        # U -> U - tanh(U) from U = 3 with dual -|U|^2: the residual is
+        # nearly flat there, so the secant-like accelerated trial overshoots
+        # far past the fixed point 0 and lowers the dual, while the damped
+        # step raises it
+        import subbandeq.equilibrium as eq
+
+        g = Grid(4, 4, 8)
+        log = []
+        _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: -float(np.sum(U**2)), log)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=100)
         U0 = np.full(g.volume_shape, 3.0)
         _, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
         assert trace.converged
-        assert trace.anderson_rejections >= 1
+        assert trace.rejected_trials >= 1
         # replay the log: after each rejected trial the next one is the
         # plain damped step from the last accepted iterate
-        (U_cur, F_cur), rejected = log[0], 0
-        for (U, F), (U_next, _) in zip(log[1:], log[2:] + [(None, None)]):
-            if F > F_cur + eq.ENERGY_NOISE_REL * (1.0 + abs(F_cur)):
+        (U_cur, D_cur), rejected, duals = log[0], 0, [log[0][1]]
+        for (U, D), (U_next, _) in zip(log[1:], log[2:] + [(None, None)]):
+            if D < D_cur - eq.ENERGY_NOISE_REL * (1.0 + abs(D_cur)):
                 rejected += 1
                 damped = 0.5 * U_cur + 0.5 * (U_cur - np.tanh(U_cur))
                 assert np.array_equal(U_next, damped)
             else:
-                U_cur, F_cur = U, F
-        assert rejected == trace.anderson_rejections
+                U_cur, D_cur = U, D
+                duals.append(D)
+        assert rejected == trace.rejected_trials
         assert trace.iterations == len(log) - 1 - rejected
-        noise = eq.ENERGY_NOISE_REL * (1.0 + np.abs(np.array(trace.free_energies[:-1])))
-        assert np.all(np.diff(trace.free_energies) <= noise)
+        assert np.all(np.diff(duals) >= 0.0)
         assert all(t == 0.5 for t in trace.thetas)
+
+    @pytest.mark.parametrize("T", [0.0, 0.2])
+    def test_real_map_ascends_the_dual_below_the_free_energy(self, monkeypatch, T):
+        # random-start solves of the real map: no accepted step lowers the
+        # dual D(U_in) by more than the noise floor, and on every evaluation
+        # F - D = (1/2) ||grad (G(U) - U)||^2
+        import subbandeq.equilibrium as eq
+
+        cycles, steps = [], []
+        evaluate, push = eq._evaluate_cycle, eq._Anderson.push
+
+        def recording_evaluate(*args, **kwargs):
+            cycles.append(evaluate(*args, **kwargs))
+            return cycles[-1]
+
+        def recording_push(self, cyc, nxt):
+            steps.append((cyc.dual, nxt.dual))
+            push(self, cyc, nxt)
+
+        monkeypatch.setattr(eq, "_evaluate_cycle", recording_evaluate)
+        monkeypatch.setattr(eq._Anderson, "push", recording_push)
+        g = Grid(8, 8, 16)
+        cfg = SolverConfig(M_target=1.0, model=OccupancyModel(T=T), grid=g, vext_kind="zwell",
+                           init_kind="random", init_seed=3)
+        _, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert len(steps) == trace.iterations
+        assert len(cycles) == 1 + trace.iterations + trace.rejected_trials
+        for D, D_next in steps:
+            assert D_next >= D - eq.ENERGY_NOISE_REL * (1.0 + abs(D))
+        for c in cycles:
+            F = c.state.energy.total_direct
+            gap = 0.5 * dirichlet_energy(c.state.U - c.U_in, g)
+            assert abs(F - c.dual - gap) <= 1e-12 * max(1.0, abs(F))
 
     @pytest.mark.parametrize("theta", [0.5, 0.125])
     def test_certificate_independent_of_theta(self, monkeypatch, theta):
