@@ -22,20 +22,21 @@ Potentials and densities are float arrays of Grid.volume_shape; a state
 stores rho_j and derives the total density from it.
 
 The next trial is an Anderson-mixed step (type II, Walker & Ni 2011): the
-damped step U + theta (G(U) - U), theta = THETA_START at first, corrected
-by a least-squares fit over the last ANDERSON_DEPTH steps.  The dual free
-energy of the map's input, D(U) = kinetic_v + band_energy + casimir -
-(1/2) ||grad U||^2, guards every step: it is concave with gradient G(U) - U
-in the Dirichlet inner product, and F - D = (1/2) ||grad (G(U) - U)||^2
-for the free energy F of the output state (F. Nier, Comm. PDE 18, 1993).
-A trial that lowers D below its noise floor is rejected: an accelerated one
-clears the history, a damped one is retried with theta halved, and when a
-damped one at THETA_MIN fails too the solve stops unconverged.  F is
-nonincreasing on every measured solve, but nothing enforces that.  The
-loop stops at the first cycle whose map residual ||G(U) - U|| / (1 + ||U||)
-meets the tolerance, so the certificate does not depend on theta; it runs
-for any object with the gap profiles of OccupancyModel (verify passes
-speed-grid ones) and is deterministic, also across BLAS thread counts.
+step U + theta (G(U) - U), theta = THETA_START = 1 (the full step) at first,
+corrected by a least-squares fit over the last ANDERSON_DEPTH steps.  The
+dual free energy of the map's input, D(U) = kinetic_v + band_energy +
+casimir - (1/2) ||grad U||^2, guards every step: it is concave with
+gradient G(U) - U in the Dirichlet inner product, so the full step raises
+it whenever ||DG|| < 1, and F - D = (1/2) ||grad (G(U) - U)||^2 for the
+free energy F of the output state (F. Nier, Comm. PDE 18, 1993).  A trial
+that lowers D below its noise floor is rejected: an accelerated one clears
+the history, a damped one is retried with theta halved, and when a damped
+one at THETA_MIN fails too the solve stops unconverged.  F is nonincreasing
+on every measured solve, but nothing enforces that.  The loop stops at the
+first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
+tolerance, so the certificate does not depend on theta; it runs for any
+object with the gap profiles of OccupancyModel (verify passes speed-grid
+ones) and is deterministic, also across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -65,16 +66,19 @@ INIT_KINDS = ("zero", "random")
 ENERGY_NOISE_REL = 1e-8
 
 # Damping factor of the first step, and the smallest one: when a damped step
-# at THETA_MIN lowers the dual the solve stops unconverged.
-THETA_START = 0.5
+# at THETA_MIN lowers the dual the solve stops unconverged.  The full step took
+# a third fewer map evaluations than 0.5 on 216 solves up to M = 1500; from
+# M ~ 3e4, where ||DG|| passes 1, it overshoots (24 against 15 at M = 1e5).
+THETA_START = 1.0
 THETA_MIN = 1e-3
 
 # Bands choose_J_max adds to the finite-subband bound.
 J_MARGIN = 2
 
 # Accepted steps the Anderson history spans.  It holds two volume vectors per
-# step; on the benchmark solves depths 1, 2, 3 and 5 took 85, 74, 65 and 62
-# map evaluations, and depth 2 keeps the history within the peak-memory budget.
+# step; depth 4 took 60 map evaluations against depth 2's 64 on sweep_wide
+# seeds 1, 3, 7 and 11, the same on accept24 and verify_tall, for 0.9 MB more
+# peak memory.  A Gram in the Dirichlet inner product did no better.
 ANDERSON_DEPTH = 2
 # Pairs are dropped, oldest first, while the Gram matrix of the residual
 # differences has a larger condition number.
@@ -231,7 +235,7 @@ class EquilibriumState:
         return band_sum_density(self.rho_j, self.spectrum.chi)
 
     def mass(self, grid: Grid) -> float:
-        return float(np.sum(self.rho_j) * grid.hy1 * grid.hy2)
+        return band_total(self.rho_j) * grid.hy1 * grid.hy2
 
     @property
     def j_active(self) -> int:
@@ -403,8 +407,7 @@ def fixed_point(
     cycle, the starting one included, whose map residual is at most
     cfg.fp_tol, after cfg.max_outer accepted steps, or when even a damped
     step at THETA_MIN lowers the dual; returns the state of that cycle and
-    one trace row per accepted step.  trace.final_residual is the returned
-    cycle's map residual.
+    one trace row per accepted step.
     """
     grid = cfg.grid
     trace = IterationTrace()
@@ -413,13 +416,9 @@ def fixed_point(
     cyc = _evaluate_cycle(U0, min(max(2, min_bands), grid.nz - 1), cfg, vext)
     residual = _map_residual(cyc, grid)
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
-        cur = cyc.state
-        J = min(max(cur.j_active + 1, min_bands), grid.nz - 1)
-        floor = cyc.dual - ENERGY_NOISE_REL * (1.0 + abs(cyc.dual))
-        while True:
-            nxt = _evaluate_cycle(history.step(cyc, theta), J, cfg, vext, cur)
-            if nxt.dual >= floor:
-                break
+        J = min(max(cyc.state.j_active + 1, min_bands), grid.nz - 1)
+        nxt = _evaluate_cycle(history.step(cyc, theta), J, cfg, vext, cyc.state)
+        if nxt.dual < cyc.dual - ENERGY_NOISE_REL * (1.0 + abs(cyc.dual)):
             trace.rejected_trials += 1
             if history.pairs:
                 history.pairs.clear()
@@ -427,8 +426,7 @@ def fixed_point(
                 theta *= 0.5
             else:
                 break
-        if nxt.dual < floor:
-            break
+            continue
         history.push(cyc, nxt)
         cyc = nxt
         residual = _map_residual(cyc, grid)

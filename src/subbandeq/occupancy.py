@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schrodinger import band_total
+
 
 @dataclass(frozen=True)
 class OccupancyModel:
@@ -178,7 +180,7 @@ def subband_mass(mu: float, lam, grid, model: OccupancyModel) -> float:
     if lam.shape[:2] != grid.lateral_shape:
         raise ValueError("spectrum lateral shape does not match grid")
     g = model.profile_g(mu - lam)
-    return float(2.0 * np.pi * np.sum(g) * grid.hy1 * grid.hy2)
+    return 2.0 * np.pi * band_total(g) * grid.hy1 * grid.hy2
 
 
 def solve_mu(

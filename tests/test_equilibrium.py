@@ -18,7 +18,7 @@ from subbandeq.equilibrium import (
     solve_equilibrium,
 )
 from subbandeq.grid import Grid, l2_norm_volume
-from subbandeq.occupancy import OccupancyModel
+from subbandeq.occupancy import OccupancyModel, subband_mass
 from subbandeq.poisson import gradient_distance, dirichlet_energy
 from subbandeq.schrodinger import SubbandSpectrum, free_mode_eigenvalue, solve_slices
 from subbandeq.verify import check_subband_structure
@@ -153,7 +153,9 @@ class TestFreeEnergy:
     @pytest.mark.parametrize("T", [0.0, 0.3])
     def test_energies_ignore_empty_bands(self, J, T):
         # bands above mu add exact zeros, so two more of them (the first J
-        # bands bitwise equal, mu the same) leave every energy digit alone
+        # bands bitwise equal, mu the same) leave every digit of the
+        # energies, of the mass and of the mass function the mu solve
+        # inverts alone
         g = Grid(9, 7, 16)
         rng = np.random.default_rng(4)
         wide = solve_slices(rng.uniform(0.0, 20.0, (g.ny1, g.ny2, g.nz - 1)), J + 2, g)
@@ -163,9 +165,11 @@ class TestFreeEnergy:
         vext = rng.uniform(0.0, 5.0, g.volume_shape)
         U = rng.standard_normal(g.volume_shape)
         model = OccupancyModel(T=T)
-        a = make_state(narrow, mu, g, model, vext, U=U).energy
-        b = make_state(wide, mu, g, model, vext, U=U).energy
-        assert a.as_dict() == b.as_dict()
+        a = make_state(narrow, mu, g, model, vext, U=U)
+        b = make_state(wide, mu, g, model, vext, U=U)
+        assert a.energy.as_dict() == b.energy.as_dict()
+        assert a.mass(g) == b.mass(g)
+        assert subband_mass(mu, narrow.lam, g, model) == subband_mass(mu, wide.lam, g, model)
 
     def test_primal_equals_direct_on_converged(self):
         cfg = SolverConfig(
@@ -267,6 +271,29 @@ class TestSolveEquilibrium:
         assert outputs[0].startswith("True ")
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("T", [0.0, 0.2])
+    def test_full_steps_take_five_map_evaluations(self, monkeypatch, T):
+        # at weak coupling the full step THETA_START raises the dual on
+        # every trial: a zwell solve at M = 1 needs exactly five map
+        # evaluations (the start and four steps) and never halves theta
+        import subbandeq.equilibrium as eq
+
+        evals = []
+        evaluate = eq._evaluate_cycle
+
+        def counting_evaluate(*args, **kwargs):
+            evals.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(eq, "_evaluate_cycle", counting_evaluate)
+        cfg = SolverConfig(M_target=1.0, model=OccupancyModel(T=T), grid=Grid(8, 8, 32),
+                           vext_kind="zwell")
+        _, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert len(evals) == 5
+        assert trace.rejected_trials == 0
+        assert all(t == eq.THETA_START for t in trace.thetas)
+
     def test_nonconvergence_returns_trace(self):
         cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), max_outer=2, fp_tol=1e-14)
         state, trace = solve_equilibrium(cfg)
@@ -276,9 +303,9 @@ class TestSolveEquilibrium:
     def test_adaptive_damping_halves_on_dual_decrease(self, monkeypatch):
         # physical desk-scale maps never lower the dual on a full step, so
         # the reject path is exercised with a synthetic overcorrecting map:
-        # U -> -4 U, dual -|U|^2.  The damped step at THETA_START = 0.5
-        # scales U by -1.5 and lowers the dual; one halving to theta = 0.25
-        # scales it by -0.25 and raises it.
+        # U -> -4 U, dual -|U|^2.  The damped step at theta scales U by
+        # 1 - 5 theta, which lowers the dual for theta > 0.4 and raises it
+        # below; theta is halved from THETA_START until it does
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
@@ -287,20 +314,25 @@ class TestSolveEquilibrium:
         U0 = np.ones(g.volume_shape)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=200)
         state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
-        assert eq.THETA_START == 0.5
+        thetas = [eq.THETA_START]
+        while abs(1.0 - 5.0 * thetas[-1]) > 1.0:
+            thetas.append(0.5 * thetas[-1])
+        rejected = len(thetas) - 1
+        assert rejected >= 1 and thetas[-1] > eq.THETA_MIN
         assert trace.converged
-        assert trace.rejected_trials == 1
-        assert np.array_equal(log[1][0], -1.5 * U0)  # the rejected trial
-        assert trace.thetas[0] == 0.25  # halved once on the first rejected trial
-        assert all(t == 0.25 for t in trace.thetas)
-        duals = [D for _, D in log[:1] + log[2:]]
+        assert trace.rejected_trials == rejected
+        for (U, _), theta in zip(log[1:], thetas):
+            assert np.array_equal(U, (1.0 - theta) * U0 + theta * (-4.0 * U0))
+        assert all(t == thetas[-1] for t in trace.thetas)  # halved once per rejected trial
+        duals = [D for _, D in log[:1] + log[1 + rejected:]]
         assert np.all(np.diff(duals) >= 0.0)
 
     def test_solve_stops_when_no_step_raises_the_dual(self, monkeypatch):
         # U -> U / 2 with dual +|U|^2: every trial shrinks |U| and lowers the
         # dual.  With no history yet the damped trial is retried at theta
-        # = 0.5 * 2^-k, k = 0..9; the last lies below THETA_MIN, so the solve
-        # stops at the start, unconverged and without a step
+        # = THETA_START * 2^-k until theta is at or below THETA_MIN; that
+        # trial fails too, so the solve stops at the start, unconverged and
+        # without a step
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
@@ -309,12 +341,13 @@ class TestSolveEquilibrium:
         cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
         U0 = np.ones(g.volume_shape)
         state, trace = fixed_point(U0, cfg, external_potential(cfg))
+        thetas = [eq.THETA_START]
+        while thetas[-1] > eq.THETA_MIN:
+            thetas.append(0.5 * thetas[-1])
         assert not trace.converged
         assert trace.iterations == 0
-        assert trace.rejected_trials == 10
-        thetas = [0.5 * 2.0**-k for k in range(10)]
-        assert thetas[-1] <= eq.THETA_MIN < thetas[-2]
-        assert len(log) == 11
+        assert trace.rejected_trials == len(thetas)
+        assert len(log) == 1 + len(thetas)
         for (U, _), theta in zip(log[1:], thetas):
             assert np.array_equal(U, (1.0 - theta) * U0 + theta * (0.5 * U0))
         assert np.array_equal(state.U, 0.5 * U0)
@@ -342,7 +375,8 @@ class TestSolveEquilibrium:
         for (U, D), (U_next, _) in zip(log[1:], log[2:] + [(None, None)]):
             if D < D_cur - eq.ENERGY_NOISE_REL * (1.0 + abs(D_cur)):
                 rejected += 1
-                damped = 0.5 * U_cur + 0.5 * (U_cur - np.tanh(U_cur))
+                theta = eq.THETA_START
+                damped = (1.0 - theta) * U_cur + theta * (U_cur - np.tanh(U_cur))
                 assert np.array_equal(U_next, damped)
             else:
                 U_cur, D_cur = U, D
@@ -350,7 +384,7 @@ class TestSolveEquilibrium:
         assert rejected == trace.rejected_trials
         assert trace.iterations == len(log) - 1 - rejected
         assert np.all(np.diff(duals) >= 0.0)
-        assert all(t == 0.5 for t in trace.thetas)
+        assert all(t == eq.THETA_START for t in trace.thetas)
 
     @pytest.mark.parametrize("T", [0.0, 0.2])
     def test_real_map_ascends_the_dual_below_the_free_energy(self, monkeypatch, T):
@@ -419,6 +453,9 @@ class TestSolveEquilibrium:
         # computes choose_J_max(mu) bands on every cycle
         import subbandeq.equilibrium as eq
 
+        cfg = SolverConfig(M_target=400.0, grid=Grid(8, 8, 8), vext_kind="zwell")
+        U0, vext = np.zeros(cfg.grid.volume_shape), external_potential(cfg)
+
         budgets = []
 
         def recording(W, J, grid, guess=None):
@@ -426,14 +463,15 @@ class TestSolveEquilibrium:
             return solve_slices(W, J, grid, guess)
 
         monkeypatch.setattr(eq, "solve_slices", recording)
-        cfg = SolverConfig(M_target=400.0, grid=Grid(8, 8, 8), vext_kind="zwell")
-        state, trace = solve_equilibrium(cfg)
+        state, trace = fixed_point(U0, cfg, vext)
         assert trace.converged
         assert budgets[:3] == [2, 3, 4]
         assert state.j_active == 3
         assert state.spectrum.J == 4
         assert state.top_band_margin > 0.0
-        assert state.mu == 69.7248002846568
+        fixed, _ = fixed_point(U0, cfg, vext, min_bands=choose_J_max(state.mu))
+        assert fixed.spectrum.J == cfg.grid.nz - 1 > state.spectrum.J
+        assert state.mu == fixed.mu
 
     def test_budget_capped_at_every_discrete_band(self):
         # nz = 4 has 3 interior nodes, so 3 bands are all there are; at
@@ -445,7 +483,9 @@ class TestSolveEquilibrium:
         assert trace.converged
         assert state.spectrum.J == state.j_active == 3
         assert state.top_band_margin < 0.0
-        assert state.mu == 507.47492884761533
+        U0, vext = np.zeros(cfg.grid.volume_shape), external_potential(cfg)
+        fixed, _ = fixed_point(U0, cfg, vext, min_bands=cfg.grid.nz - 1)
+        assert state.mu == fixed.mu
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)
