@@ -6,9 +6,9 @@ functions of (config, seed): CSV columns are written in scientific
 notation with 17 significant digits (lossless doubles) and JSON reports
 re-serialize byte-identically.  The CSV writer takes numpy columns that
 broadcast together (node axes are never expanded to the full grid) and
-formats each distinct bit pattern once per block of rows; the bytes are
-those of formatting every value in turn.  Exit codes: 0 on success, 1 on
-bad input or a failed check, 2 when a solve does not converge.
+formats a block of rows with numpy arithmetic; the bytes are those of
+formatting every value in turn.  Exit codes: 0 on success, 1 on bad input
+or a failed check, 2 when a solve does not converge.
 """
 
 from __future__ import annotations
@@ -123,32 +123,81 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+# A field is one value's text in 24 NUL-padded bytes (the longest FLOAT_FMT or
+# int64 text), as 6 uint32 words: NUL, sign, lead digit, "."; 4 x 4 digits; "e±XX".
+def _words(*byte_columns) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(*byte_columns), -1).astype(np.uint8).view(np.uint32)[..., 0]
+
+
+_DIGITS4 = _words(*(48 + np.indices((10,) * 4, dtype=np.uint8))).ravel()  # "0000" .. "9999"
+_HEAD = _words(0, np.c_[[0, ord("-")]], 48 + np.arange(10), ord(".")).ravel()  # [10 * sign + lead]
+_E = np.arange(-7, 18)  # the exponents e of _EXP[e + 7]
+_EXP = _words(ord("e"), np.where(_E < 0, ord("-"), ord("+")), 48 + abs(_E) // 10, 48 + abs(_E) % 10)
+# 10^(16 - e) at index 17 - e: exact for -6 <= e <= 16, 0 (no fast path) for e = -7, 17
+_POW10 = np.r_[0.0, 10.0 ** np.arange(23), 0.0]
+
+
+def _text_fields(values: np.ndarray, fmt: str = FLOAT_FMT) -> np.ndarray:
+    return np.array([fmt % v for v in values.tolist()], "S24").view(np.uint32).reshape(-1, 6)
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """The fields of FLOAT_FMT % v for the values v of x, as (x.size, 6) words.
+
+    For |v| in [1e-6, 1e17), Dekker's two-product gives hi + lo = |v| 10^(16 - e)
+    exactly, with e = floor(log10 |v|).  If that is in [1e16, 1e17), hi > 2^53 is
+    even and hi + rint(lo) is the significand rounded half to even, as FLOAT_FMT
+    rounds.  FLOAT_FMT itself formats the other values, zeros excepted.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    fast = (np.abs(x) >= 1e-6) & (np.abs(x) < 1e17)
+    a = np.where(fast, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)  # -7 <= e <= 17
+    b = _POW10[17 - e]
+    hi, ca, cb = a * b, 134217729.0 * a, 134217729.0 * b  # Veltkamp splits by 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    lo = ((ah * bh - hi) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    # hi < 1e17 leaves hi + lo <= 1e17 - 8, so the rounding never carries
+    exact = fast & (hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0)))
+    n = np.where(exact, hi.astype(np.int64) + np.rint(lo).astype(np.int64), 0)
+    lead, top = n // 10**16, n // 10**8  # numpy divides by a constant fast; % is slow
+    high, low = top - lead * 10**8, n - top * 10**8
+    hq, lq = high // 10**4, low // 10**4
+    fields = np.stack([_HEAD[10 * np.signbit(x) + lead], _DIGITS4[hq], _DIGITS4[high - hq * 10**4],
+                       _DIGITS4[lq], _DIGITS4[low - lq * 10**4], _EXP[e + 7]], axis=-1)
+    slow = ~(exact | (x == 0.0))
+    fields[slow] = _text_fields(x[slow])
+    return fields
+
+
 def _write_csv(path: Path, header: list[str], *columns) -> None:
     """One row per element of the columns broadcast together, in C order.
 
-    Float columns are written with FLOAT_FMT and integer columns with %d.
-    Rows go out in blocks of CSV_BLOCK_ROWS, gathered from the broadcast
-    views, so no column is copied at full size.  Within a block each
-    distinct bit pattern of a column is formatted once (bits, not values:
-    -0.0 and 0.0 compare equal but print differently) and its text is
-    gathered into the rows.
+    Float columns are written with FLOAT_FMT and integer columns with %d, in
+    blocks of CSV_BLOCK_ROWS rows, so no column is copied at full size.  A block
+    is an array of fields and separator words whose NUL padding is stripped.
     """
-    cols = np.broadcast_arrays(*columns)
-    fmts = ["%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in cols]
-    shape, size = cols[0].shape, cols[0].size
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, size, CSV_BLOCK_ROWS):
-            rows = np.unravel_index(np.arange(start, min(start + CSV_BLOCK_ROWS, size)), shape)
-            texts = []
-            for c, fmt in zip(cols, fmts):
-                block = c[rows]
-                _, first, inverse = np.unique(
-                    block.view(f"u{block.itemsize}"), return_index=True, return_inverse=True
-                )
-                distinct = np.array([fmt % v for v in block[first].tolist()], dtype=object)
-                texts.append(distinct[inverse].tolist())
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    full = np.broadcast(*columns)  # the shape and size of the table, never expanded
+    sources = [_field_source(np.asarray(c), full.shape) for c in columns]
+    separators = _words([ord(",")] * (len(columns) - 1) + [ord("\n")], 0, 0, 0)
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, full.size, CSV_BLOCK_ROWS):
+            rows = np.unravel_index(np.arange(i, min(i + CSV_BLOCK_ROWS, full.size)), full.shape)
+            fields = np.empty((rows[0].size, len(columns), 7), np.uint32)
+            for k, source in enumerate(sources):
+                fields[:, k, :6] = source(rows)
+            fields[:, :, 6] = separators
+            fh.write(fields.tobytes().translate(None, b"\0"))
+
+
+def _field_source(c: np.ndarray, shape: tuple):
+    """Rows (index arrays into shape) -> fields of c; a small c is formatted once."""
+    fmt = (lambda v: _text_fields(v, "%d")) if c.dtype.kind in "iu" else _float_fields
+    if c.size > CSV_BLOCK_ROWS:
+        return lambda rows: fmt(np.broadcast_to(c, shape)[rows])
+    texts, index = fmt(c.ravel()), np.broadcast_to(np.arange(c.size).reshape(c.shape), shape)
+    return lambda rows: np.take(texts, index[rows], axis=0)
 
 
 def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:

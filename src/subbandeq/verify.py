@@ -628,7 +628,8 @@ def run_verification(
 
 
 def _aggregate(name: str, reports: list[CheckReport]) -> CheckReport:
-    worst = max(reports, key=lambda r: r.ratio if math.isfinite(r.ratio) else -1.0)
+    # a failing case before a passing one, then a ratio of inf or nan before a finite one
+    worst = max(reports, key=lambda r: (not r.passed, not math.isfinite(r.ratio), r.ratio))
     return CheckReport(
         name=name,
         passed=all(r.passed for r in reports),

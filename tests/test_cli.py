@@ -92,6 +92,49 @@ class TestWriteCsv:
         assert len(rows) == 2.5 * CSV_BLOCK_ROWS
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows).encode()
 
+    def test_fuzz_matches_per_value_format(self, tmp_path):
+        # seeded values of every class the fast path must get right or hand
+        # back to FLOAT_FMT, compared one value at a time
+        rng = np.random.default_rng(20)
+        info = np.iinfo(np.int64)
+        pow10 = 10.0 ** np.arange(-307, 309)
+        limits = np.array([1e-6, 1e16, 1e17, 2.0**53, 2.0**56])
+        odd = rng.integers(4 * 10**15, 9 * 10**15, 20_000) | 1
+        classes = {
+            "int64 bit patterns":
+                rng.integers(info.min, info.max, 60_000, endpoint=True).view(np.float64),
+            "normal * 10^[-12, 20)":
+                rng.standard_normal(40_000) * 10.0 ** rng.integers(-12, 20, 40_000),
+            # exact doubles (odd m) / 4 and (odd m) / 8 whose 18th significant digit is a final 5
+            "18th-digit ties": np.concatenate([odd / 4.0, odd[odd < 8 * 10**15] / 8.0]),
+            "10^k and neighbours":
+                np.concatenate([np.nextafter(pow10, 0.0), pow10, np.nextafter(pow10, np.inf)]),
+            "zeros, subnormals, inf, nan": np.concatenate([
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0)],
+                rng.integers(1, 2**52, 10_000).view(np.float64)]),
+            "3-digit exponents":
+                rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-323, 308, 20_000),
+            "fast-path limits": np.concatenate([
+                limits + np.arange(-64, 65)[:, None] * np.spacing(limits),
+                limits * (1.0 + rng.uniform(-1e-3, 1e-3, (2000, 1)))]).ravel(),
+        }
+        values = np.concatenate([np.concatenate([v, -v]) for v in classes.values()])
+        assert values.size >= 200_000
+        _write_csv(tmp_path / "t.csv", ["v"], values)
+        got = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        want = ["%.16e" % v for v in values.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not bad, bad[:5]
+
+    def test_signed_zeros_stay_apart_in_a_mixed_block(self, tmp_path):
+        v = np.array([0.0, -0.0, 1.5, -1.5, -0.0, 0.0, 2.5e-3, -2.5e-3])
+        _write_csv(tmp_path / "t.csv", ["v", "k"], v, np.arange(v.size))
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[1:3] == ["0.0000000000000000e+00,0", "-0.0000000000000000e+00,1"]
+        assert lines[5:7] == ["-0.0000000000000000e+00,4", "0.0000000000000000e+00,5"]
+        expected = reference_csv(["v", "k"], zip(v, range(v.size)))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
     def test_zero_rows_writes_header_only(self, tmp_path):
         _write_csv(tmp_path / "t.csv", ["iter", "residual"], np.arange(1, 1), [])
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(["iter", "residual"], []).encode()
@@ -174,12 +217,22 @@ class TestSolve:
         mass = np.sum(rho * wz) * hy * hy
         assert mass == pytest.approx(state["mass"], rel=1e-15)
 
-    def test_csv_bytes_match_per_value_reference(self, tmp_path):
+    def test_csv_bytes_match_per_value_reference(self, tmp_path, monkeypatch):
+        # the arrays and trace lists the solve returned to the CLI, formatted
+        # value by value: pins the columns of every file as well as the writer
+        import subbandeq.cli as cli
+
+        returned = []
+
+        def solve_and_keep(cfg):
+            returned.append((cfg, *solve_equilibrium(cfg)))
+            return returned[-1][1:]
+
+        monkeypatch.setattr(cli, "solve_equilibrium", solve_and_keep)
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        solver_cfg = solver_config(load_config(cfg))
-        state, trace = solve_equilibrium(solver_cfg)
+        (solver_cfg, state, trace), = returned
         g = solver_cfg.grid
         y1, y2, z = g.y1_nodes(), g.y2_nodes(), g.z_nodes()
         U, rho, lam = state.U, state.rho, state.spectrum.lam

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from subbandeq.rearrange import (
 )
 from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes
 from subbandeq.verify import (
+    CheckReport,
+    _aggregate,
     check_energy_agreement,
     check_kinetic_interpolation,
     check_mu_bound,
@@ -343,3 +347,27 @@ class TestRunVerification:
         (name,) = counts
         with pytest.raises(ValueError, match=name):
             run_verification(cfg, **counts)
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("bad_ratio", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_failing_case_reported_over_passing_ones(self, bad_ratio):
+        ok = CheckReport("c", True, 1e-6, 1.0, 1e-6, {"case": "ok"})
+        bad = CheckReport("c", False, 1.0, 0.0, bad_ratio, {"case": "bad"})
+        for cases in ([ok, bad], [bad, ok], [ok, bad, ok]):
+            report = _aggregate("family", cases)
+            assert report.passed is False
+            assert (report.lhs, report.rhs) == (1.0, 0.0)
+            assert report.ratio == bad_ratio or (math.isnan(bad_ratio) and math.isnan(report.ratio))
+            assert report.details == {"n_cases": len(cases), "worst_case_details": {"case": "bad"}}
+
+    def test_nonfinite_ratio_ranks_above_finite_ones(self):
+        cases = [CheckReport("c", True, 2.0, 1.0, 2.0), CheckReport("c", True, 0.0, 0.0, math.nan),
+                 CheckReport("c", True, 5.0, 1.0, 5.0)]
+        assert math.isnan(_aggregate("family", cases).ratio)
+
+    def test_passing_family_reports_its_largest_ratio(self):
+        cases = [CheckReport("c", True, 1.0, 4.0, 0.25), CheckReport("c", True, 1.0, 2.0, 0.5),
+                 CheckReport("c", True, 2.0, 4.0, 0.5)]
+        report = _aggregate("family", cases)
+        assert report.passed is True and (report.lhs, report.ratio) == (1.0, 0.5)
