@@ -15,7 +15,6 @@ coercivity and stability-gap reports together.
 """
 
 from subbandeq import Grid, OccupancyModel, SolverConfig, solve_equilibrium
-from subbandeq.equilibrium import external_potential
 from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
 from subbandeq.verify import (
     check_mu_bound,
@@ -52,8 +51,7 @@ print(f"\nChemical potential bound: mu = {r.lhs:.4f} <= {r.rhs:.4f}  "
       f"[{'ok' if r.passed else 'VIOLATED'}]")
 
 print("\nCoercivity against perturbations of the equilibrium:")
-vext = external_potential(cfg)
-base = grid_consistent_base(state, vext, grid, model)
+base = grid_consistent_base(state, cfg)
 cases = [("bump eps=1e-1", occupation_bump(base, 1e-1, seed=1)),
          ("bump eps=1e-2", occupation_bump(base, 1e-2, seed=2)),
          ("rotation 0.1", mode_rotation(base, 0.1)),

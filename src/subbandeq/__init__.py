@@ -18,7 +18,6 @@ from .equilibrium import (
     IterationTrace,
     SolverConfig,
     assemble_density,
-    choose_J_max,
     external_potential,
     solve_equilibrium,
 )
@@ -28,6 +27,7 @@ from .rearrange import (
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
+from .verify import choose_J_max
 
 __all__ = [
     "Grid",

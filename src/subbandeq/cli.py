@@ -8,7 +8,7 @@ re-serialize byte-identically.  The CSV writer takes numpy columns that
 broadcast together (node axes are never expanded to the full grid) and
 formats a block of rows with numpy arithmetic; the bytes are those of
 formatting every value in turn.  Exit codes: 0 on success, 1 on bad input
-or a failed check, 2 when a solve does not converge.
+(argument errors too) or a failed check, 2 when a solve does not converge.
 """
 
 from __future__ import annotations
@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on an argument error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -72,9 +72,6 @@ ENERGY_NOISE_REL = 1e-8
 THETA_START = 1.0
 THETA_MIN = 1e-3
 
-# Bands choose_J_max adds to the finite-subband bound.
-J_MARGIN = 2
-
 # Accepted steps the Anderson history spans.  It holds two volume vectors per
 # step; depth 4 took 60 map evaluations against depth 2's 64 on sweep_wide
 # seeds 1, 3, 7 and 11, the same on accept24 and verify_tall, for 0.9 MB more
@@ -156,13 +153,6 @@ def random_smooth_potential(grid: Grid, seed: int) -> np.ndarray:
 def subband_bound(mu: float) -> float:
     """sqrt(3 mu)/pi: fewer than this plus one bands are occupied at chemical potential mu."""
     return math.sqrt(3.0 * max(mu, 0.0)) / math.pi
-
-
-def choose_J_max(mu_estimate: float) -> int:
-    """Bands above the finite-subband bound, at least 4; verify perturbs this many."""
-    if not math.isfinite(mu_estimate):
-        raise ValueError("mu estimate must be finite")
-    return max(4, math.ceil(subband_bound(mu_estimate)) + J_MARGIN)
 
 
 def assemble_density(
@@ -247,16 +237,17 @@ class EquilibriumState:
         """min_y lambda_J(y) - mu; positive: no occupied band was cut off."""
         return float(np.min(self.spectrum.lam[..., -1]) - self.mu)
 
-    def validate(self, grid: Grid, model: OccupancyModel, M_target: float) -> None:
+    def validate(self, cfg: SolverConfig) -> None:
+        """SubbandSpectrum.validate, then mass cfg.M_target and rho_j = 2 pi G(mu - lambda_j)."""
+        grid = cfg.grid
+        self.spectrum.validate(grid)
         m = self.mass(grid)
-        if abs(m - M_target) > 1e-8 * M_target:
-            raise AssertionError(f"mass {m} misses target {M_target}")
-        rho_j, _ = assemble_density(self.spectrum, self.mu, model, grid)
+        if abs(m - cfg.M_target) > 1e-8 * cfg.M_target:
+            raise AssertionError(f"mass {m} misses target {cfg.M_target}")
+        rho_j, _ = assemble_density(self.spectrum, self.mu, cfg.model, grid)
         scale = max(1.0, float(np.max(np.abs(self.rho_j))))
         if np.max(np.abs(rho_j - self.rho_j)) > 1e-12 * scale:
             raise AssertionError("stored band densities are not 2 pi G(mu - lambda_j)")
-        if not np.all(np.diff(self.spectrum.lam, axis=2) > 1e-10):
-            raise AssertionError("spectrum not strictly increasing in the band index")
 
 
 @dataclass
@@ -397,19 +388,20 @@ class _Anderson:
 
 
 def fixed_point(
-    U0: np.ndarray, cfg: SolverConfig, vext: np.ndarray, min_bands: int = 1
+    U0: np.ndarray, cfg: SolverConfig, min_bands: int = 1
 ) -> tuple[EquilibriumState, IterationTrace]:
     """Anderson-accelerated fixed-point iteration of the outer cycle, from U0, ascending the dual.
 
-    cfg.model supplies the gap profiles G, K, B (and T) that turn each
-    spectrum into a mass, a density and a free energy.  Every cycle
+    cfg fixes the minimization: mass, grid, external_potential(cfg) and the
+    gap profiles G, K, B (and T) of cfg.model, which turn each spectrum into
+    a mass, a density and a free energy.  Every cycle
     computes at least min_bands bands (at most nz - 1).  Stops at the first
     cycle, the starting one included, whose map residual is at most
     cfg.fp_tol, after cfg.max_outer accepted steps, or when even a damped
     step at THETA_MIN lowers the dual; returns the state of that cycle and
     one trace row per accepted step.
     """
-    grid = cfg.grid
+    grid, vext = cfg.grid, external_potential(cfg)
     trace = IterationTrace()
     theta = THETA_START
     history = _Anderson(grid)
@@ -449,4 +441,4 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
         U0 = np.zeros(cfg.grid.volume_shape)
     else:
         U0 = random_smooth_potential(cfg.grid, cfg.init_seed)
-    return fixed_point(U0, cfg, external_potential(cfg))
+    return fixed_point(U0, cfg)

@@ -83,11 +83,6 @@ class AdmissiblePair:
     def J(self) -> int:
         return self.f.shape[2]
 
-    def validate_orthonormal(self, grid: Grid) -> None:
-        gram = grid.hz * np.einsum("abjz,abkz->abjk", self.chi, self.chi)
-        if np.max(np.abs(gram - np.eye(self.J))) > 1e-8:
-            raise ValueError("modes are not orthonormal per slice")
-
 
 # ---- functionals of a pair ---------------------------------------------------
 

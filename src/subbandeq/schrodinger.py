@@ -72,10 +72,14 @@ class SubbandSpectrum:
         norms = grid.hz * np.sum(self.chi**2, axis=3)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise ValueError("modes are not L2-normalized")
-        gram = grid.hz * np.einsum("abjz,abkz->abjk", self.chi, self.chi)
-        off = gram - np.eye(self.J)
-        if np.max(np.abs(off)) > 1e-8:
-            raise ValueError("modes are not orthonormal per slice")
+        check_orthonormal(self.chi, grid)
+
+
+def check_orthonormal(chi: np.ndarray, grid: Grid) -> None:
+    """ValueError unless the modes chi (ny1, ny2, J, nz-1) are orthonormal per slice to 1e-8."""
+    gram = grid.hz * np.einsum("abjz,abkz->abjk", chi, chi)
+    if np.max(np.abs(gram - np.eye(chi.shape[2]))) > 1e-8:
+        raise ValueError("modes are not orthonormal per slice")
 
 
 def profile_kinetic_energy(chi: np.ndarray, grid: Grid) -> np.ndarray:

@@ -28,7 +28,6 @@ from .equilibrium import (
     EquilibriumState,
     SolverConfig,
     NonConvergence,
-    choose_J_max,
     external_potential,
     fixed_point,
     solve_equilibrium,
@@ -54,6 +53,7 @@ from .rearrange import (
     velocity_kinetic,
 )
 from .schrodinger import band_sum_density, confined_kinetic, sine_modes, solve_slices  # noqa: F401
+from .schrodinger import check_orthonormal
 
 
 @dataclass(frozen=True)
@@ -288,39 +288,43 @@ class _SpeedGridProfiles:
 
 _BASE_FP_TOL = 1e-9
 _BASE_MAX_STEPS = 400
+# Bands choose_J_max adds to the finite-subband bound.
+J_MARGIN = 2
 
 
-def grid_consistent_base(
-    state: EquilibriumState,
-    vext: np.ndarray,
-    grid: Grid,
-    model: OccupancyModel,
-) -> GridBase:
-    """Re-converge a solved state with all velocity integrals on a speed grid.
+def choose_J_max(mu_estimate: float) -> int:
+    """Bands above the finite-subband bound, at least 4; the base keeps and perturbs this many."""
+    if not math.isfinite(mu_estimate):
+        raise ValueError("mu estimate must be finite")
+    return max(4, math.ceil(subband_bound(mu_estimate)) + J_MARGIN)
 
-    Runs the equilibrium fixed-point loop from state.U at the state's mass,
-    with the speed-grid profiles of model in place of the closed forms,
-    until the potential's map residual is at most 1e-9; the discrete
+
+def grid_consistent_base(state: EquilibriumState, cfg: SolverConfig) -> GridBase:
+    """Re-converge a state solved under cfg with all velocity integrals on a speed grid.
+
+    Runs the equilibrium fixed-point loop of cfg from state.U at the state's
+    mass, with the speed-grid profiles of cfg.model in place of the closed
+    forms, until the potential's map residual is at most 1e-9; the discrete
     coercivity chain then closes up to that residual.  The base keeps
     choose_J_max(mu) bands (at most nz - 1), so the perturbation families
     have unoccupied bands to move occupation into.
     """
     vgrid = speed_grid_for(state.mu, float(np.min(state.spectrum.lam[:, :, 0])))
-    cfg = SolverConfig(
-        M_target=state.mass(grid),
-        model=_SpeedGridProfiles(model, vgrid),
-        grid=grid,
+    base_cfg = dc_replace(
+        cfg,
+        M_target=state.mass(cfg.grid),
+        model=_SpeedGridProfiles(cfg.model, vgrid),
         fp_tol=_BASE_FP_TOL,
         max_outer=_BASE_MAX_STEPS,
     )
-    base, trace = fixed_point(state.U, cfg, vext, min_bands=choose_J_max(state.mu))
+    base, trace = fixed_point(state.U, base_cfg, min_bands=choose_J_max(state.mu))
     if not trace.converged:
         raise NonConvergence(
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
             f"in {_BASE_MAX_STEPS} steps"
         )
     spec = base.spectrum
-    f = _base_occupations(model, base.mu - spec.lam, vgrid)
+    f = _base_occupations(cfg.model, base.mu - spec.lam, vgrid)
     pair = AdmissiblePair(f=f, chi=spec.chi, vgrid=vgrid)
     return GridBase(
         pair=pair,
@@ -328,10 +332,10 @@ def grid_consistent_base(
         U=base.U,
         mu=base.mu,
         F=base.energy.total_direct,
-        mass=pair_mass(pair, grid),
-        model=model,
-        vext=vext,
-        grid=grid,
+        mass=pair_mass(pair, cfg.grid),
+        model=cfg.model,
+        vext=external_potential(cfg),
+        grid=cfg.grid,
     )
 
 
@@ -398,7 +402,7 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
     """
     if not is_occupation_sorted(pert):
         raise ValueError("perturbed pair must be occupation-sorted")
-    pert.validate_orthonormal(base.grid)
+    check_orthonormal(pert.chi, base.grid)
     grid, model = base.grid, base.model
     F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
     gap = 0.5 * dirichlet_energy(U_pert - base.U, grid)
@@ -576,7 +580,6 @@ def run_verification(
     if not trace.converged:
         raise NonConvergence("equilibrium solve did not converge; cannot verify")
     grid, model = cfg.grid, cfg.model
-    vext = external_potential(cfg)
     reports = [
         check_energy_agreement(state),
         check_subband_structure(state),
@@ -608,7 +611,7 @@ def run_verification(
     )
     reports.append(_aggregate("rearrangement_invariance", ri_reports))
 
-    base = grid_consistent_base(state, vext, grid, model)
+    base = grid_consistent_base(state, cfg)
     perturbation_reports = []
     for i in range(n_perturbations):
         kind = i % 3

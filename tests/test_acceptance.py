@@ -15,7 +15,6 @@ from subbandeq.cli import main as cli_main
 from subbandeq.equilibrium import (
     ENERGY_NOISE_REL,
     SolverConfig,
-    external_potential,
     solve_equilibrium,
 )
 from subbandeq.grid import Grid
@@ -83,8 +82,7 @@ def small_bases():
         )
         state, trace = solve_equilibrium(cfg)
         assert trace.converged
-        vext = external_potential(cfg)
-        bases[T] = grid_consistent_base(state, vext, cfg.grid, cfg.model)
+        bases[T] = grid_consistent_base(state, cfg)
     return bases
 
 

@@ -354,6 +354,34 @@ class TestSolve:
         )
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--out", "o", "--param", "M", "--values", "abc"],
+            ["verify", "--out", "o", "--seed", "x"],
+            ["solve"],
+        ],
+        ids=["sweep_values", "verify_seed", "solve_without_out"],
+    )
+    def test_argument_error_exit_1(self, tmp_path, monkeypatch, capsys, args):
+        # exit 2 means "did not converge"; an argument error is bad input
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, FAST)
+        assert main([*args, "--config", cfg]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_no_command_exit_1(self, capsys):
+        assert main([]) == 1
+        assert "required: command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]], ids=["main", "sweep"])
+    def test_help_exit_0(self, capsys, args):
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("usage: subbandeq")
+
+
 class TestVerify:
     VCFG = {**FAST, "verify": {"n_pairs": 2, "n_perturbations": 2}}
 

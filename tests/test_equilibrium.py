@@ -11,7 +11,6 @@ import subbandeq
 from subbandeq.equilibrium import (
     SolverConfig,
     assemble_density,
-    choose_J_max,
     external_potential,
     fixed_point,
     make_state,
@@ -21,7 +20,7 @@ from subbandeq.grid import Grid, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel, subband_mass
 from subbandeq.poisson import gradient_distance, dirichlet_energy
 from subbandeq.schrodinger import SubbandSpectrum, free_mode_eigenvalue, solve_slices
-from subbandeq.verify import check_subband_structure
+from subbandeq.verify import check_subband_structure, choose_J_max
 
 
 def free_spectrum(grid, J):
@@ -212,12 +211,16 @@ class TestSolveEquilibrium:
         )
         state, trace = solve_equilibrium(cfg)
         assert trace.converged
-        state.validate(g, model, cfg.M_target)
-        state.spectrum.validate(g)
+        state.validate(cfg)
         assert np.array_equal(state.rho, assemble_density(state.spectrum, state.mu, model, g)[1])
         bad = dataclasses.replace(state, rho_j=state.rho_j * (1.0 + 1e-9))
         with pytest.raises(AssertionError, match="band densities"):
-            bad.validate(g, model, cfg.M_target)
+            bad.validate(cfg)
+        # modes scaled by 1.2 leave mass and band densities intact; the
+        # spectrum's own check rejects them
+        spectrum = dataclasses.replace(state.spectrum, chi=1.2 * state.spectrum.chi)
+        with pytest.raises(ValueError, match="normalized"):
+            dataclasses.replace(state, spectrum=spectrum).validate(cfg)
 
     def test_initialization_independence(self):
         g = Grid(6, 6, 16)
@@ -313,7 +316,7 @@ class TestSolveEquilibrium:
         _patch_map(monkeypatch, g, lambda U: -4.0 * U, lambda U: -float(np.sum(U**2)), log)
         U0 = np.ones(g.volume_shape)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=200)
-        state, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
+        state, trace = eq.fixed_point(U0, cfg)
         thetas = [eq.THETA_START]
         while abs(1.0 - 5.0 * thetas[-1]) > 1.0:
             thetas.append(0.5 * thetas[-1])
@@ -340,7 +343,7 @@ class TestSolveEquilibrium:
         _patch_map(monkeypatch, g, lambda U: 0.5 * U, lambda U: float(np.sum(U**2)), log)
         cfg = SolverConfig(M_target=1.0, grid=g, max_outer=3)
         U0 = np.ones(g.volume_shape)
-        state, trace = fixed_point(U0, cfg, external_potential(cfg))
+        state, trace = fixed_point(U0, cfg)
         thetas = [eq.THETA_START]
         while thetas[-1] > eq.THETA_MIN:
             thetas.append(0.5 * thetas[-1])
@@ -366,7 +369,7 @@ class TestSolveEquilibrium:
         _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), lambda U: -float(np.sum(U**2)), log)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=100)
         U0 = np.full(g.volume_shape, 3.0)
-        _, trace = eq.fixed_point(U0, cfg, external_potential(cfg))
+        _, trace = eq.fixed_point(U0, cfg)
         assert trace.converged
         assert trace.rejected_trials >= 1
         # replay the log: after each rejected trial the next one is the
@@ -431,7 +434,7 @@ class TestSolveEquilibrium:
         _patch_linear_map(monkeypatch, g, 0.5)
         monkeypatch.setattr(eq, "THETA_START", theta)
         cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-6, max_outer=500)
-        state, trace = fixed_point(np.ones(g.volume_shape), cfg, external_potential(cfg))
+        state, trace = fixed_point(np.ones(g.volume_shape), cfg)
         assert trace.converged
         assert l2_norm_volume(state.U, g) <= cfg.fp_tol
 
@@ -440,7 +443,7 @@ class TestSolveEquilibrium:
         base = dict(M_target=1.0, grid=g, vext_kind="zwell")
         state, _ = solve_equilibrium(SolverConfig(**base, fp_tol=1e-11))
         cfg = SolverConfig(**base, fp_tol=1e-9)
-        again, trace = fixed_point(state.U, cfg, external_potential(cfg))
+        again, trace = fixed_point(state.U, cfg)
         assert trace.converged
         assert trace.iterations == 0
         assert trace.final_residual <= cfg.fp_tol
@@ -454,7 +457,7 @@ class TestSolveEquilibrium:
         import subbandeq.equilibrium as eq
 
         cfg = SolverConfig(M_target=400.0, grid=Grid(8, 8, 8), vext_kind="zwell")
-        U0, vext = np.zeros(cfg.grid.volume_shape), external_potential(cfg)
+        U0 = np.zeros(cfg.grid.volume_shape)
 
         budgets = []
 
@@ -463,13 +466,13 @@ class TestSolveEquilibrium:
             return solve_slices(W, J, grid, guess)
 
         monkeypatch.setattr(eq, "solve_slices", recording)
-        state, trace = fixed_point(U0, cfg, vext)
+        state, trace = fixed_point(U0, cfg)
         assert trace.converged
         assert budgets[:3] == [2, 3, 4]
         assert state.j_active == 3
         assert state.spectrum.J == 4
         assert state.top_band_margin > 0.0
-        fixed, _ = fixed_point(U0, cfg, vext, min_bands=choose_J_max(state.mu))
+        fixed, _ = fixed_point(U0, cfg, min_bands=choose_J_max(state.mu))
         assert fixed.spectrum.J == cfg.grid.nz - 1 > state.spectrum.J
         assert state.mu == fixed.mu
 
@@ -483,15 +486,15 @@ class TestSolveEquilibrium:
         assert trace.converged
         assert state.spectrum.J == state.j_active == 3
         assert state.top_band_margin < 0.0
-        U0, vext = np.zeros(cfg.grid.volume_shape), external_potential(cfg)
-        fixed, _ = fixed_point(U0, cfg, vext, min_bands=cfg.grid.nz - 1)
+        U0 = np.zeros(cfg.grid.volume_shape)
+        fixed, _ = fixed_point(U0, cfg, min_bands=cfg.grid.nz - 1)
         assert state.mu == fixed.mu
 
     def test_supplied_initial_potential(self):
         g = Grid(6, 6, 16)
         U0 = np.full(g.volume_shape, 0.3)
         cfg = SolverConfig(M_target=1.0, grid=g, vext_kind="zwell", fp_tol=1e-10)
-        state, trace = fixed_point(U0, cfg, external_potential(cfg))
+        state, trace = fixed_point(U0, cfg)
         assert trace.converged
 
     def test_bump_potential_and_shallow_entropy(self):
@@ -506,7 +509,7 @@ class TestSolveEquilibrium:
         )
         state, trace = solve_equilibrium(cfg)
         assert trace.converged
-        state.validate(cfg.grid, cfg.model, cfg.M_target)
+        state.validate(cfg)
         e = state.energy
         assert abs(e.total_primal - e.total_direct) <= 1e-6 * (1 + abs(e.total_direct))
 

@@ -16,7 +16,9 @@ from subbandeq.rearrange import (
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, zero_extend
+from subbandeq.schrodinger import (
+    band_sum_density, check_orthonormal, profile_kinetic_energy, zero_extend,
+)
 from subbandeq.verify import random_test_pair
 
 GRID = Grid(4, 4, 24)
@@ -75,10 +77,10 @@ class TestPairValidation:
 
     def test_orthonormality_check(self):
         pair = sine_pair()
-        pair.validate_orthonormal(GRID)
+        check_orthonormal(pair.chi, GRID)
         broken = AdmissiblePair(f=pair.f, chi=pair.chi * 1.2, vgrid=pair.vgrid)
         with pytest.raises(ValueError):
-            broken.validate_orthonormal(GRID)
+            check_orthonormal(broken.chi, GRID)
 
 
 class TestEnergySort:

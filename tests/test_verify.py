@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import subbandeq.verify as verify
 from subbandeq.equilibrium import (
     NonConvergence,
     SolverConfig,
-    choose_J_max,
     external_potential,
     solve_equilibrium,
 )
@@ -32,6 +32,7 @@ from subbandeq.verify import (
     check_subband_structure,
     check_uniqueness,
     check_weighted_l1,
+    choose_J_max,
     grid_consistent_base,
     mode_rotation,
     occupation_bump,
@@ -62,8 +63,7 @@ def solved():
 @pytest.fixture(scope="module")
 def base(solved):
     cfg, state = solved
-    vext = external_potential(cfg)
-    return grid_consistent_base(state, vext, GRID, cfg.model)
+    return grid_consistent_base(state, cfg)
 
 
 class TestRandomTestPair:
@@ -170,8 +170,7 @@ class TestGridBase:
             vext_amplitude=8.0, fp_tol=1e-10,
         )
         state, trace = solve_equilibrium(cfg)
-        vext = external_potential(cfg)
-        b = grid_consistent_base(state, vext, GRID, MODEL_T0)
+        b = grid_consistent_base(state, cfg)
         assert b.mass == pytest.approx(1.0, abs=1e-9)
         assert abs(b.mu - state.mu) <= 1e-3
         _assert_pair_quadrature(b)
@@ -180,7 +179,23 @@ class TestGridBase:
         monkeypatch.setattr("subbandeq.verify._BASE_MAX_STEPS", 1)
         cfg, state = solved
         with pytest.raises(NonConvergence, match="did not re-converge"):
-            grid_consistent_base(state, external_potential(cfg), GRID, cfg.model)
+            grid_consistent_base(state, cfg)
+
+    def test_base_solves_with_the_main_external_potential(self, solved, monkeypatch):
+        # the base re-solves cfg's minimization: its config keeps the zwell
+        # confinement, not the default vext_kind "zero"
+        cfg, state = solved
+        configs, fixed_point = [], verify.fixed_point
+
+        def capturing(U0, base_cfg, min_bands=1):
+            configs.append(base_cfg)
+            return fixed_point(U0, base_cfg, min_bands)
+
+        monkeypatch.setattr(verify, "fixed_point", capturing)
+        base = grid_consistent_base(state, cfg)
+        (captured,) = configs
+        assert external_potential(captured).tobytes() == external_potential(cfg).tobytes()
+        assert base.vext.tobytes() == external_potential(cfg).tobytes()
 
 
 def _assert_pair_quadrature(base):
