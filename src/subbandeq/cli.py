@@ -47,73 +47,64 @@ class ConfigError(ValueError):
     pass
 
 
-def _not_boolean(value, key: str):
-    """The value, unless it is a boolean: no key takes one, and JSON true would pass as 1."""
+def _typed(value, default, key: str):
+    """value checked against the type of its default, a section key by key.
+
+    A section is an object of known keys; a missing key takes its default.
+    No key takes a boolean (JSON true would pass as 1), a string stands only
+    where the default is one, and an integral key takes an integral number
+    only, never truncated.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {key!r} must be an object" if key else
+                              "config must be a JSON object")
+        unknown = sorted(value.keys() - default.keys())
+        if unknown:
+            raise ConfigError(f"unknown key {key}.{unknown[0]!r}" if key else
+                              f"unknown config keys: {unknown}")
+        prefix = f"{key}." if key else ""
+        return {k: _typed(value.get(k, d), d, prefix + k) for k, d in default.items()}
     if isinstance(value, bool):
         raise ConfigError(f"{key} must not be a boolean, got {json.dumps(value)}")
-    return value
-
-
-def _merge_section(name: str, user: dict) -> dict:
-    merged = dict(CONFIG_DEFAULTS[name])
-    for key, val in user.items():
-        if key not in merged:
-            raise ConfigError(f"unknown key {name}.{key!r}")
-        merged[key] = _not_boolean(val, f"{name}.{key}")
-    return merged
+    if isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    try:
+        number = float(value) if isinstance(value, (int, float)) else None
+    except OverflowError:  # an integer beyond the float range
+        number = None
+    if isinstance(default, int):
+        if number is not None and number.is_integer() and number == value:
+            return int(value)
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if number is None:
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return number
 
 
 def load_config(path) -> dict:
+    """The JSON config at path over CONFIG_DEFAULTS, each value of its default's type."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    merged = {}
-    for key, default in CONFIG_DEFAULTS.items():
-        if isinstance(default, dict):
-            user = raw.get(key, {})
-            if not isinstance(user, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            merged[key] = _merge_section(key, user)
-        else:
-            merged[key] = _not_boolean(raw.get(key, default), key)
-    unknown = set(raw) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return merged
-
-
-def _integer(value, key: str) -> int:
-    """An integral config value as int; anything else is a ConfigError, never truncated."""
-    try:
-        if int(value) == float(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return _typed(raw, CONFIG_DEFAULTS, "")
 
 
 def solver_config(cfg: dict) -> SolverConfig:
-    g = cfg["grid"]
     try:
         return SolverConfig(
-            M_target=float(cfg["M_target"]),
-            model=OccupancyModel(T=float(cfg["T"]), p=float(cfg["beta_p"])),
-            grid=Grid(
-                ny1=_integer(g["ny1"], "grid.ny1"),
-                ny2=_integer(g["ny2"], "grid.ny2"),
-                nz=_integer(g["nz"], "grid.nz"),
-                L1=float(g["L1"]),
-                L2=float(g["L2"]),
-            ),
-            vext_kind=str(cfg["vext"]["kind"]),
-            vext_amplitude=float(cfg["vext"]["amplitude"]),
-            fp_tol=float(cfg["fp_tol"]),
-            max_outer=_integer(cfg["max_outer"], "max_outer"),
-            init_kind=str(cfg["init"]["kind"]),
-            init_seed=_integer(cfg["init"]["seed"], "init.seed"),
+            M_target=cfg["M_target"],
+            model=OccupancyModel(T=cfg["T"], p=cfg["beta_p"]),
+            grid=Grid(**cfg["grid"]),
+            vext_kind=cfg["vext"]["kind"],
+            vext_amplitude=cfg["vext"]["amplitude"],
+            fp_tol=cfg["fp_tol"],
+            max_outer=cfg["max_outer"],
+            init_kind=cfg["init"]["kind"],
+            init_seed=cfg["init"]["seed"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -259,7 +250,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg_dict = load_config(args.config)
     cfg = solver_config(cfg_dict)
-    counts = {key: _integer(val, f"verify.{key}") for key, val in cfg_dict["verify"].items()}
+    counts = cfg_dict["verify"]
     for key, n in counts.items():
         if n < 1:
             raise ConfigError(f"verify.{key} must be at least 1, got {n}")

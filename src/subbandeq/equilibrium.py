@@ -353,7 +353,7 @@ class _Anderson:
     """
 
     def __init__(self, grid: Grid):
-        self.w = grid.hy1 * grid.hy2 * grid.z_weights()[None, None, :]
+        self.w = grid.node_volumes()
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _inner(self, a, b) -> float:

@@ -215,20 +215,16 @@ def check_kinetic_interpolation(pair: AdmissiblePair, s: float, grid: Grid) -> C
 class GridBase:
     """Equilibrium structure re-converged under radial-grid quadrature.
 
-    pair carries the ansatz occupations sampled on the speed grid and the
-    modes of the matching slice Hamiltonians, whose eigenvalues are lam; U
-    is the potential of the pair's own (grid-quadrature) density.
+    cfg is the main solve's config (grid, occupation model, V_ext); state
+    is the equilibrium re-solved with speed-grid profiles.  pair carries
+    its ansatz occupations sampled on the speed grid and its modes, so
+    state.U is the potential of the pair's own (grid-quadrature) density
+    and state.energy.total_direct the pair's free energy.
     """
 
+    cfg: SolverConfig
+    state: EquilibriumState
     pair: AdmissiblePair
-    lam: np.ndarray
-    U: np.ndarray
-    mu: float
-    F: float
-    mass: float
-    model: OccupancyModel
-    vext: np.ndarray
-    grid: Grid
 
 
 def _base_occupations(
@@ -323,20 +319,8 @@ def grid_consistent_base(state: EquilibriumState, cfg: SolverConfig) -> GridBase
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
             f"in {_BASE_MAX_STEPS} steps"
         )
-    spec = base.spectrum
-    f = _base_occupations(cfg.model, base.mu - spec.lam, vgrid)
-    pair = AdmissiblePair(f=f, chi=spec.chi, vgrid=vgrid)
-    return GridBase(
-        pair=pair,
-        lam=spec.lam,
-        U=base.U,
-        mu=base.mu,
-        F=base.energy.total_direct,
-        mass=pair_mass(pair, cfg.grid),
-        model=cfg.model,
-        vext=external_potential(cfg),
-        grid=cfg.grid,
-    )
+    f = _base_occupations(cfg.model, base.mu - base.spectrum.lam, vgrid)
+    return GridBase(cfg, base, AdmissiblePair(f=f, chi=base.spectrum.chi, vgrid=vgrid))
 
 
 # ---- perturbation families ------------------------------------------------------
@@ -350,7 +334,7 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
     the stability chain keeps its exact sign structure node by node.
     """
     rng = np.random.default_rng(seed)
-    grid, vgrid = base.grid, base.pair.vgrid
+    grid, vgrid = base.cfg.grid, base.pair.vgrid
     r = vgrid.r
     y1 = grid.y1_nodes()[:, None] / grid.L1
     y2 = grid.y2_nodes()[None, :] / grid.L2
@@ -362,7 +346,7 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
         m1, m2 = rng.integers(1, 4), rng.integers(1, 4)
         lateral = np.sin(m1 * np.pi * y1) * np.sin(m2 * np.pi * y2)
         g[:, :, j, :] = rng.uniform(-1.0, 1.0) * lateral[..., None] * radial
-    if base.model.T == 0.0:
+    if base.cfg.model.T == 0.0:
         f0 = base.pair.f
         fractional = np.any((f0 > 0.0) & (f0 < 1.0), axis=2, keepdims=True)
         g = np.where(fractional, 0.0, g)
@@ -387,8 +371,8 @@ def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
 def _entropy_weight(base: GridBase) -> np.ndarray:
     """w(y, v, j) = |v|^2/2 + lambda_j(y) + T beta'(f_j(y, v)) for the base."""
     u = 0.5 * base.pair.vgrid.r**2
-    slope = base.model.T * base.model.beta_prime(base.pair.f)
-    return u[None, None, None, :] + base.lam[..., None] + slope
+    slope = base.cfg.model.T * base.cfg.model.beta_prime(base.pair.f)
+    return u[None, None, None, :] + base.state.spectrum.lam[..., None] + slope
 
 
 def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckReport, CheckReport]:
@@ -402,11 +386,11 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
     """
     if not is_occupation_sorted(pert):
         raise ValueError("perturbed pair must be occupation-sorted")
-    check_orthonormal(pert.chi, base.grid)
-    grid, model = base.grid, base.model
-    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
-    gap = 0.5 * dirichlet_energy(U_pert - base.U, grid)
-    lhs = F_pert - base.F
+    grid, model, state = base.cfg.grid, base.cfg.model, base.state
+    check_orthonormal(pert.chi, grid)
+    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=external_potential(base.cfg))
+    gap = 0.5 * dirichlet_energy(U_pert - state.U, grid)
+    lhs = F_pert - state.energy.total_direct
     w = _entropy_weight(base)
     wsum = np.einsum(
         "abjv,abjv,v->", w, pert.f - base.pair.f, base.pair.vgrid.weights
@@ -421,8 +405,8 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
         ratio=_ratio(rhs, lhs),
         details={"field_gap": float(gap), "multiplier_term": float(wsum)},
     )
-    delta = abs(F_pert - base.F) + base.mu * abs(pair_mass(pert, grid) - base.mass)
-    bound = (1.0 + base.mu) * delta
+    delta = abs(lhs) + state.mu * abs(pair_mass(pert, grid) - pair_mass(base.pair, grid))
+    bound = (1.0 + state.mu) * delta
     stability = CheckReport(
         name="stability_gap",
         passed=gap <= bound * (1.0 + 1e-6),
@@ -496,9 +480,8 @@ def check_uniqueness(cfg: SolverConfig) -> CheckReport:
         if not trace.converged:
             raise NonConvergence("a uniqueness run failed to converge")
         fields.append(state.U)
-    zero = np.zeros(cfg.grid.volume_shape)
     worst = max(
-        gradient_distance(a, b, cfg.grid) / (1.0 + gradient_distance(a, zero, cfg.grid))
+        gradient_distance(a, b, cfg.grid) / (1.0 + math.sqrt(dirichlet_energy(a, cfg.grid)))
         for a, b in itertools.combinations(fields, 2)
     )
     return CheckReport(

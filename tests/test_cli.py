@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ import subbandeq
 from subbandeq.cli import (
     CONFIG_DEFAULTS, CSV_BLOCK_ROWS, _write_csv, load_config, main, solver_config,
 )
-from subbandeq.equilibrium import solve_equilibrium
+from subbandeq.equilibrium import SolverConfig, solve_equilibrium
 from subbandeq.grid import Grid
+from subbandeq.verify import run_verification
 
 MINIMAL = {"M_target": 1.0}
 
@@ -66,6 +68,14 @@ def test_runtime_without_scipy(tmp_path):
         f"print([main(argv + ['--out', {out!r}]) for argv in runs])\n"
     )
     assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+
+
+def test_config_defaults_match_the_library_defaults(tmp_path):
+    # CONFIG_DEFAULTS and the defaults of SolverConfig and run_verification
+    # are two homes of the same facts
+    assert solver_config(load_config(write_config(tmp_path, {}))) == SolverConfig()
+    params = inspect.signature(run_verification).parameters
+    assert {key: params[key].default for key in CONFIG_DEFAULTS["verify"]} == CONFIG_DEFAULTS["verify"]
 
 
 def test_readme_config_reference_matches_defaults():
@@ -320,9 +330,18 @@ class TestSolve:
             ("solve", {"max_outer": True}, "config error: max_outer must not be a boolean"),
             ("verify", {"verify": {"n_pairs": True}},
              "config error: verify.n_pairs must not be a boolean"),
+            # a string stands only where the default is one, and no key takes null
+            ("solve", {"M_target": "1"}, "config error: M_target must be a number"),
+            ("solve", {"grid": {"nz": "8"}}, "config error: grid.nz must be an integer"),
+            ("solve", {"vext": {"kind": 5}}, "config error: vext.kind must be a string"),
+            ("solve", {"max_outer": None}, "config error: max_outer must be an integer"),
+            # beyond the float range, so float() of it overflows
+            ("solve", {"max_outer": 10**400}, "config error: max_outer must be an integer"),
         ],
         ids=["nz", "max_outer", "n_pairs", "n_pairs_0", "n_perturbations_0",
-             "M_target_true", "max_outer_true", "n_pairs_true"],
+             "M_target_true", "max_outer_true", "n_pairs_true",
+             "M_target_string", "nz_string", "vext_kind_number", "max_outer_null",
+             "max_outer_400_digits"],
     )
     def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra, message):
         cfg = write_config(tmp_path, {**FAST, **extra})

@@ -17,6 +17,7 @@ from subbandeq.rearrange import (
     RadialGrid,
     band_densities,
     pair_free_energy,
+    pair_mass,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
@@ -153,7 +154,7 @@ class TestKineticInterpolation:
 class TestGridBase:
     def test_base_is_self_consistent(self, base):
         # potential equals the Poisson solve of the pair density, mass on target
-        assert base.mass == pytest.approx(1.0, abs=1e-9)
+        assert pair_mass(base.pair, GRID) == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(base.pair.f, axis=2) <= 1e-15)
         _assert_pair_quadrature(base)
 
@@ -162,7 +163,7 @@ class TestGridBase:
         # unoccupied ones the occupation bumps move mass into
         _, state = solved
         assert state.spectrum.J == state.j_active + 1
-        assert base.pair.J == base.lam.shape[2] == choose_J_max(state.mu)
+        assert base.pair.J == base.state.spectrum.J == choose_J_max(state.mu)
 
     def test_zero_temperature_base(self):
         cfg = SolverConfig(
@@ -171,8 +172,8 @@ class TestGridBase:
         )
         state, trace = solve_equilibrium(cfg)
         b = grid_consistent_base(state, cfg)
-        assert b.mass == pytest.approx(1.0, abs=1e-9)
-        assert abs(b.mu - state.mu) <= 1e-3
+        assert pair_mass(b.pair, GRID) == pytest.approx(1.0, abs=1e-9)
+        assert abs(b.state.mu - state.mu) <= 1e-3
         _assert_pair_quadrature(b)
 
     def test_unconverged_base_raises(self, solved, monkeypatch):
@@ -195,15 +196,15 @@ class TestGridBase:
         base = grid_consistent_base(state, cfg)
         (captured,) = configs
         assert external_potential(captured).tobytes() == external_potential(cfg).tobytes()
-        assert base.vext.tobytes() == external_potential(cfg).tobytes()
+        assert base.cfg is cfg
 
 
 def _assert_pair_quadrature(base):
     """F and U of the base are those of its own pair, to rounding."""
-    F, _ = pair_free_energy(base.pair, GRID, base.model, vext=base.vext)
-    assert base.F == pytest.approx(F, rel=1e-12)
+    F, _ = pair_free_energy(base.pair, GRID, base.cfg.model, vext=external_potential(base.cfg))
+    assert base.state.energy.total_direct == pytest.approx(F, rel=1e-12)
     U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID)
-    assert np.max(np.abs(base.U - U)) <= 1e-12 * np.max(np.abs(U))
+    assert np.max(np.abs(base.state.U - U)) <= 1e-12 * np.max(np.abs(U))
 
 
 class TestCoercivity:
@@ -211,8 +212,9 @@ class TestCoercivity:
         pert = rearrange_occupation_decreasing(base.pair)
         r, _ = check_perturbation(base, pert)
         assert r.passed
-        assert abs(r.lhs) <= 1e-9 * (1 + abs(base.F))
-        assert abs(r.rhs) <= 1e-9 * (1 + abs(base.F))
+        F = base.state.energy.total_direct
+        assert abs(r.lhs) <= 1e-9 * (1 + abs(F))
+        assert abs(r.rhs) <= 1e-9 * (1 + abs(F))
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-2])
     def test_occupation_bumps(self, base, eps):
@@ -261,7 +263,7 @@ class TestStabilityGap:
         _, r = check_perturbation(base, pert)
         assert r.passed
         assert r.details["delta"] == pytest.approx(
-            r.rhs / (1.0 + base.mu), rel=1e-12
+            r.rhs / (1.0 + base.state.mu), rel=1e-12
         )
 
 
