@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .grid import Grid, l2_norm_volume
-from .occupancy import OccupancyModel, solve_mu
+from .occupancy import MASS_REL_TOL, OccupancyModel, solve_mu
 from .poisson import dirichlet_energy, solve_poisson
 from .schrodinger import (
     SubbandSpectrum,
@@ -242,7 +242,7 @@ class EquilibriumState:
         grid = cfg.grid
         self.spectrum.validate(grid)
         m = self.mass(grid)
-        if abs(m - cfg.M_target) > 1e-8 * cfg.M_target:
+        if abs(m - cfg.M_target) > MASS_REL_TOL * cfg.M_target:
             raise AssertionError(f"mass {m} misses target {cfg.M_target}")
         rho_j, _ = assemble_density(self.spectrum, self.mu, cfg.model, grid)
         scale = max(1.0, float(np.max(np.abs(self.rho_j))))

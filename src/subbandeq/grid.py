@@ -71,10 +71,8 @@ class Grid:
         return w
 
     def node_volumes(self) -> np.ndarray:
-        """Quadrature volume of each (y1, y2, z) node, shape volume_shape."""
-        w = np.empty(self.volume_shape)
-        w[:] = self.hy1 * self.hy2 * self.z_weights()[None, None, :]
-        return w
+        """Quadrature volume of each node, shape (1, 1, nz + 1): it varies in z only."""
+        return self.hy1 * self.hy2 * self.z_weights()[None, None, :]
 
     def lateral_area(self) -> float:
         """Node-rule area of the cross-section (zero-extended to the boundary)."""

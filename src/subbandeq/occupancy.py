@@ -159,6 +159,7 @@ def _lambda_array(lam) -> np.ndarray:
     return lam
 
 MU_REL_TOL = 1e-10
+MASS_REL_TOL = 1e-8  # accepted at the ulp floor of mu; every state's mass must meet it
 # ITP truncation kappa1 * width^2 / (b - lo), on the scale of the offset from
 # the spectral bottom over which the mass curves, and the halvings by which
 # ITP's bracket may lag bisection's.
@@ -194,33 +195,30 @@ def solve_mu(
 
     The mass is zero at the spectral bottom lo and continuous and
     nondecreasing above it.  The first trial is mu_guess (the previous
-    cycle's mu) if it lies above lo, else lo + 1; the second is the secant
-    through (lo, 0) and the first, which lands on the far side of the root
-    whenever the mass is convex in mu (as the closed-form profiles make
-    it).  Doubling the offset from lo finds an upper end otherwise.  ITP
-    steps (Oliveira & Takahashi, ACM TOMS 47, 2020) then shrink the bracket:
-    secant-fast on a smooth mass, and on any continuous one never more than
-    _ITP_N0 + 1 halvings behind bisection.
+    cycle's mu) if it lies above lo, else lo + max(1, ulp(lo)); the second
+    is the secant through (lo, 0) and the first, which lands on the far
+    side of the root whenever the mass is convex in mu (as the closed-form
+    profiles make it).  Doubling the offset from lo finds an upper end
+    otherwise.  ITP steps (Oliveira & Takahashi, ACM TOMS 47, 2020) then
+    shrink the bracket: secant-fast on a smooth mass, and on any continuous
+    one never more than _ITP_N0 + 1 halvings behind bisection.  At the ulp
+    floor of mu the midpoint must be within MASS_REL_TOL * M, or it raises.
     """
     if not M > 0:
         raise ValueError("target mass must be positive")
     lam = _lambda_array(lam)
     lo = float(np.min(lam[:, :, 0]))
-    # Mass evaluations sum ~J * area/h^2 rounded terms of size ~eps * |mu|;
-    # below that absolute noise the relative target is not representable.
-    noise = 16.0 * np.pi * grid.lateral_area() * lam.shape[2] * np.finfo(float).eps
-
     def excess(mu):
         return subband_mass(mu, lam, grid, model) - M
 
-    def hit(mu, e):
-        return abs(e) <= max(MU_REL_TOL * M, noise * max(1.0, abs(mu)))
+    def hit(e):
+        return abs(e) <= MU_REL_TOL * M
 
     a, ea, b, eb = lo, -M, None, None
-    x = float(mu_guess) if mu_guess is not None and mu_guess > lo else lo + 1.0
+    x = float(mu_guess) if mu_guess is not None and mu_guess > lo else lo + max(1.0, math.ulp(lo))
     for k in range(200):
         ex = excess(x)
-        if hit(x, ex):
+        if hit(ex):
             return x
         if ex < 0.0:
             a, ea = x, ex
@@ -234,7 +232,8 @@ def solve_mu(
             growth = 2.0
         x = lo + (x - lo) * growth
     else:
-        raise RuntimeError("failed to bracket the chemical potential in 200 doublings")
+        raise RuntimeError(f"no mu reaches target mass M = {M:g} in 200 doublings above the"
+                           f" spectral bottom {lo:.16g}: relative mass error {ea / M:.3g}")
     # x floor: about one ulp; below it the bracket cannot shrink.
     tiny = np.finfo(float).eps * max(1.0, abs(a), abs(b))
     n_max = max(0, math.ceil(math.log2((b - a) / (2.0 * tiny)))) + _ITP_N0
@@ -250,13 +249,16 @@ def solve_mu(
         x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
         x = x_t if abs(x_t - half) <= radius else half - sigma * radius
         ex = excess(x)
-        if hit(x, ex):
+        if hit(ex):
             return x
         if ex < 0.0:
             a, ea = x, ex
         else:
             b, eb = x, ex
     x = 0.5 * (a + b)
-    if hit(x, excess(x)):
+    ex = excess(x)
+    if abs(ex) <= MASS_REL_TOL * M:
         return x
-    raise RuntimeError("chemical-potential solve stalled before tolerance")
+    best = min(abs(ea), abs(eb), abs(ex)) / M  # a monotone mass: no earlier trial came closer
+    raise RuntimeError(f"target mass M = {M:g} is below the resolution of the mass function: best"
+                       f" relative mass error {best:.3g} at the ulp floor of mu, {x:.16g}")

@@ -111,12 +111,12 @@ def dirichlet_energy(U, grid: Grid) -> float:
     """Discrete int |grad U|^2 with the same edge weights as the operator."""
     v = _volume_values(U, grid)
     hy1, hy2, hz = grid.hy1, grid.hy2, grid.hz
-    wz = grid.z_weights()[None, None, :]
+    w = grid.node_volumes()
 
     d1 = np.diff(v, axis=0, prepend=0.0, append=0.0) / hy1
-    e1 = float(np.sum(d1 * d1 * (hy1 * hy2 * wz)))
+    e1 = float(np.sum(d1 * d1 * w))
     d2 = np.diff(v, axis=1, prepend=0.0, append=0.0) / hy2
-    e2 = float(np.sum(d2 * d2 * (hy1 * hy2 * wz)))
+    e2 = float(np.sum(d2 * d2 * w))
     d3 = np.diff(v, axis=2) / hz
     e3 = float(np.sum(d3 * d3) * hy1 * hy2 * hz)
     return e1 + e2 + e3

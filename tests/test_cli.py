@@ -186,13 +186,33 @@ class TestSolve:
         assert json.dumps(state, sort_keys=True, indent=2) + "\n" == raw
 
     def test_converged_start_reports_its_residual(self, tmp_path):
-        # the zero start already meets fp_tol at this tiny mass: no step is taken
-        cfg = write_config(tmp_path, {"M_target": 1e-12, "grid": {"ny1": 6, "ny2": 6, "nz": 16}})
+        # the zero start already meets fp_tol at this small mass: no step is taken
+        cfg = write_config(
+            tmp_path, {"M_target": 1e-5, "fp_tol": 1e-3, "grid": {"ny1": 6, "ny2": 6, "nz": 16}}
+        )
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         state = json.loads((out / "state.json").read_text())
         assert state["converged"] is True and state["iterations"] == 0
-        assert isinstance(state["residual"], float) and state["residual"] <= 1e-8
+        assert isinstance(state["residual"], float) and 0.0 < state["residual"] <= 1e-3
+        assert abs(state["mass"] - 1e-5) <= 1e-8 * 1e-5
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"M_target": 1e-300}, {"M_target": 1e-12},
+         {"vext": {"kind": "zwell", "amplitude": 1e20}},
+         {"vext": {"kind": "bump", "amplitude": 1e20}}],
+        ids=["M_1e-300", "M_1e-12", "zwell_1e20", "bump_1e20"],
+    )
+    def test_unresolvable_mass_exit_1_without_state(self, tmp_path, capsys, extra):
+        # the mass function cannot resolve M to 1e-8 relative near these mu:
+        # no state that misses its mass is written
+        cfg = write_config(tmp_path, {**extra, "grid": {"ny1": 4, "ny2": 4, "nz": 8}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target mass M = " in err
+        assert not (out / "state.json").exists()
 
     def test_rejected_trials_written(self, tmp_path, monkeypatch):
         import subbandeq.cli as cli

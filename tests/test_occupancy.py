@@ -161,12 +161,42 @@ class TestSolveMu:
             assert mu == pytest.approx(mu0, abs=1e-9 * max(1.0, mu0))
 
     def test_small_mass_limit(self):
+        # mu nears the spectral bottom with M until the mass function can no
+        # longer resolve M to MASS_REL_TOL: then the solve raises
         g = Grid(6, 6, 16)
         lam = random_levels(g, 3, seed=9)
         model = OccupancyModel(T=0.0)
         bottom = float(np.min(lam[:, :, 0]))
-        mu = solve_mu(1e-9, lam, g, model)
-        assert bottom < mu < bottom + 1e-3
+        mu = solve_mu(1e-8, lam, g, model)
+        assert bottom < mu < bottom + 1e-7
+        with pytest.raises(RuntimeError, match="target mass M = 1e-09"):
+            solve_mu(1e-9, lam, g, model)
+
+    @pytest.mark.parametrize("T", [0.0, 0.2])
+    def test_every_returned_mu_meets_its_mass(self, T):
+        g = Grid(6, 6, 16)
+        lam = random_levels(g, 3, seed=9)
+        model = OccupancyModel(T=T)
+        for k in range(-14, 3):
+            M = 10.0**k
+            try:
+                mu = solve_mu(M, lam, g, model)
+            except RuntimeError as exc:
+                assert k <= -9 and "below the resolution" in str(exc), k
+                continue
+            assert abs(subband_mass(mu, lam, g, model) - M) <= occupancy.MASS_REL_TOL * M, k
+
+    def test_unmovable_first_trial_still_brackets(self):
+        # above 2^53, lo + 1 rounds to lo: the doubling must start one ulp above
+        g = Grid(4, 4, 8)
+        lam = flat_levels(g, [1e19])
+        model = OccupancyModel(T=0.0)
+        with pytest.raises(RuntimeError, match="below the resolution"):
+            solve_mu(1.0, lam, g, model)
+        # one ulp of mu (2048) moves the mass by about 8e3, well within 1e-8 of this M
+        M = 1e14
+        mu = solve_mu(M, lam, g, model)
+        assert abs(subband_mass(mu, lam, g, model) - M) <= occupancy.MASS_REL_TOL * M
 
     def test_step_like_mass_costs_at_most_bisection_plus_a_constant(self, monkeypatch):
         # one flat band whose profile jumps from 0 to 1 across a window of
