@@ -1,8 +1,8 @@
 """Full self-consistent solve on the unit slab with a z-confinement barrier.
 
-The Anderson-accelerated outer iteration alternates slice eigensolves, a chemical
-potential solve for the mass constraint, density assembly and a Poisson
-solve.  The run below prints the iteration trace, the converged free-energy
+The outer iteration (frozen-mode predicted steps, then Anderson-accelerated
+ones) alternates slice eigensolves, a chemical potential solve for the mass
+constraint, density assembly and a Poisson solve.  The run below prints the iteration trace, the converged free-energy
 breakdown evaluated by both routes, and the subband structure.
 """
 
@@ -26,14 +26,15 @@ cfg = SolverConfig(
 )
 state, trace = solve_equilibrium(cfg)
 
-print("Outer iteration trace (Anderson-accelerated fixed point):")
+print("Outer iteration trace (frozen-mode predicted steps record theta 1):")
 print("  it   residual      mu          F_total        theta")
 for i in range(trace.iterations):
     print(
         f"  {i + 1:3d}  {trace.residuals[i]:.3e}  {trace.mus[i]:.8f}"
         f"  {trace.free_energies[i]:.10f}  {trace.thetas[i]:.3f}"
     )
-print(f"converged: {trace.converged} in {trace.iterations} iterations")
+print(f"converged: {trace.converged} in {trace.iterations} iterations, "
+      f"{trace.predicted_steps} of them predicted")
 
 e = state.energy
 print("\nFree-energy breakdown:")

@@ -204,6 +204,7 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
             "mass": state.mass(grid),
             "top_band_margin": state.top_band_margin,
             "rejected_trials": trace.rejected_trials,
+            "predicted_steps": trace.predicted_steps,
         },
         out / "state.json",
     )
@@ -240,9 +241,9 @@ def _write_solution(state, trace, cfg: SolverConfig, out: Path) -> None:
 def cmd_solve(args) -> int:
     cfg_dict = load_config(args.config)
     cfg = solver_config(cfg_dict)
+    state, trace = solve_equilibrium(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    state, trace = solve_equilibrium(cfg)
     _write_solution(state, trace, cfg, out)
     return 0 if trace.converged else 2
 
@@ -256,9 +257,9 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"verify.{key} must be at least 1, got {n}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    reports = run_verification(cfg, seed=args.seed, **counts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = run_verification(cfg, seed=args.seed, **counts)
     _dump_json(
         {"seed": args.seed, "checks": [r.as_dict() for r in reports]},
         out / "verify_report.json",
@@ -267,9 +268,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    report = run_validation()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_validation()
     _dump_json(report, out / "validate_report.json")
     return 0 if report["pass"] else 1
 
@@ -282,8 +283,6 @@ def cmd_sweep(args) -> int:
     cfg_dict = load_config(args.config)
     key = "M_target" if args.param == "M" else "T"
     cfgs = [solver_config({**cfg_dict, key: value}) for value in args.values]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, cfg in zip(args.values, cfgs):
         state, trace = solve_equilibrium(cfg)
@@ -292,6 +291,8 @@ def cmd_sweep(args) -> int:
             return 2
         rows.append((value, state.mu, state.j_active, state.energy.total_direct, trace.iterations))
     values, mus, j_active, F_total, iterations = map(np.array, zip(*rows))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "sweep.csv",
         ["value", "mu", "J_active", "F_total", "iterations"],

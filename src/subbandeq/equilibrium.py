@@ -9,6 +9,8 @@ One outer cycle maps a trial potential U to a new one:
 
 The eigensolve computes only the bands the certificate needs: J = 2 on the
 first cycle, then one above the last cycle's occupied bands, J_active + 1.
+A laterally uniform first cycle (a zero start with the zero or zwell V_ext)
+eigensolves one slice; see schrodinger.solve_slices.
 A band lying above mu on every slice carries exactly zero density, since
 the occupation law vanishes where the gap mu - lambda_j is negative.
 After the mu solve the cycle checks that its top band is empty,
@@ -21,8 +23,13 @@ cut off, so the retry stops there whatever the margin.
 Potentials and densities are float arrays of Grid.volume_shape; a state
 stores rho_j and derives the total density from it.
 
-The next trial is an Anderson-mixed step (type II, Walker & Ni 2011): the
-step U + theta (G(U) - U), theta = THETA_START = 1 (the full step) at first,
+The first trials are frozen-mode predictions (A. Trellakis et al., J. Appl.
+Phys. 81, 7880, 1997; see _frozen_map), each evaluated by a full cycle.
+Prediction stops for the rest of the solve at the first predicted trial
+that the dual guard below rejects, or that cuts the map residual by less
+than PREDICT_MIN_CUT.  From then on the next trial is an Anderson-mixed
+step (type II, Walker & Ni 2011), its history started at the current cycle:
+the step U + theta (G(U) - U), theta = THETA_START = 1 (the full step) at first,
 corrected by a least-squares fit over the last ANDERSON_DEPTH steps.  The
 dual free energy of the map's input, D(U) = kinetic_v + band_energy +
 casimir - (1/2) ||grad U||^2, guards every step: it is concave with
@@ -56,6 +63,7 @@ from .schrodinger import (
     confined_kinetic,
     external_pairing,
     solve_slices,
+    zero_extend,
 )
 
 VEXT_KINDS = ("zero", "zwell", "bump")
@@ -80,6 +88,12 @@ ANDERSON_DEPTH = 2
 # Pairs are dropped, oldest first, while the Gram matrix of the residual
 # differences has a larger condition number.
 _GRAM_COND_MAX = 1e10
+
+# Evaluations of the frozen-mode map per prediction (one took 4 map evaluations
+# per acceptance solve against 3, three saved none), and the factor by which a
+# predicted step must cut the map residual for the next trial to be predicted.
+PREDICTOR_STEPS = 2
+PREDICT_MIN_CUT = 10.0
 
 
 class NonConvergence(RuntimeError):
@@ -263,6 +277,8 @@ class IterationTrace:
     final_residual: float = math.nan
     # Trials that lowered the dual and were retried or ended the solve.
     rejected_trials: int = 0
+    # Accepted steps whose trial was a frozen-mode prediction (theta 1).
+    predicted_steps: int = 0
 
     @property
     def iterations(self) -> int:
@@ -346,22 +362,23 @@ def _map_residual(cyc: _Cycle, grid: Grid) -> float:
 class _Anderson:
     """Type II Anderson mixing over the last ANDERSON_DEPTH accepted steps.
 
-    Holds the steps dU_i = U_{i+1} - U_i and the residual differences
-    df_i = f_{i+1} - f_i, f = G(U) - U, of accepted iterates.  Inner
-    products carry the node volumes of the map residual's norm and are
+    Holds the last accepted point (U, G(U)) and the steps dU_i and residual
+    differences df_i = f_{i+1} - f_i, f = G(U) - U, of accepted iterates.
+    Inner products carry the node volumes of the map residual's norm and are
     plain numpy sums, whose order does not depend on BLAS threads.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, U: np.ndarray, G: np.ndarray):
         self.w = grid.node_volumes()
+        self.U, self.G = U, G
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _inner(self, a, b) -> float:
         return float(np.sum(a * b * self.w))
 
-    def step(self, cyc: _Cycle, theta: float) -> np.ndarray:
+    def step(self, theta: float) -> np.ndarray:
         """(1 - theta) U + theta G(U), less the least-squares combination of the history."""
-        U, G = cyc.U_in, cyc.state.U
+        U, G = self.U, self.G
         U_new = (1.0 - theta) * U + theta * G
         H = np.array([[self._inner(p, q) for _, q in self.pairs] for _, p in self.pairs])
         while self.pairs:
@@ -378,13 +395,45 @@ class _Anderson:
                 U_new -= (g * theta) * df
         return U_new
 
-    def push(self, cyc: _Cycle, nxt: _Cycle) -> None:
-        """Record the accepted step from cyc to nxt."""
-        dU = nxt.U_in - cyc.U_in
-        df = nxt.state.U - cyc.state.U
+    def push(self, U: np.ndarray, G: np.ndarray) -> None:
+        """Accept the point U with map value G = G(U): record the step to it."""
+        dU = U - self.U
+        df = G - self.G
         df -= dU
         self.pairs.append((dU, df))
         del self.pairs[:-ANDERSON_DEPTH]
+        self.U, self.G = U, G
+
+
+def _frozen_map(cyc: _Cycle, cfg: SolverConfig):
+    """The frozen-mode map P of a cycle at U_k: V -> the Poisson potential of P's density.
+
+    P keeps the cycle's modes chi_j and moves their eigenvalues to their
+    Rayleigh quotients at V, lambda_j + <chi_j^2, V - U_k>; then it solves
+    mu from the cycle's mu, assembles the density and solves Poisson as a
+    cycle does, with no eigensolve.  P(U_k) is G(U_k) bit for bit.
+    """
+    grid, state = cfg.grid, cyc.state
+    chi2 = zero_extend(state.spectrum.chi) ** 2
+    zw = grid.z_weights()
+
+    def P(V: np.ndarray) -> np.ndarray:
+        lam = state.spectrum.lam + np.einsum("abz,abjz->abj", (V - cyc.U_in) * zw, chi2)
+        mu = solve_mu(cfg.M_target, lam, grid, cfg.model, mu_guess=state.mu)
+        rho_j = 2.0 * np.pi * cfg.model.profile_g(mu - lam)
+        return solve_poisson(np.einsum("abj,abjz->abz", rho_j, chi2), grid)
+
+    return P
+
+
+def _predict(cyc: _Cycle, cfg: SolverConfig) -> np.ndarray:
+    """Next trial: the Anderson estimate of P's fixed point from PREDICTOR_STEPS full steps on P."""
+    P = _frozen_map(cyc, cfg)
+    inner = _Anderson(cfg.grid, cyc.U_in, cyc.state.U)
+    for _ in range(PREDICTOR_STEPS):
+        V = inner.step(1.0)
+        inner.push(V, P(V))
+    return inner.step(1.0)
 
 
 def fixed_point(
@@ -395,8 +444,10 @@ def fixed_point(
     cfg fixes the minimization: mass, grid, external_potential(cfg) and the
     gap profiles G, K, B (and T) of cfg.model, which turn each spectrum into
     a mass, a density and a free energy.  Every cycle
-    computes at least min_bands bands (at most nz - 1).  Stops at the first
-    cycle, the starting one included, whose map residual is at most
+    computes at least min_bands bands (at most nz - 1).  The trials are
+    frozen-mode predictions until one is rejected or cuts the map residual
+    by less than PREDICT_MIN_CUT, then Anderson steps on G.  Stops at the
+    first cycle, the starting one included, whose map residual is at most
     cfg.fp_tol, after cfg.max_outer accepted steps, or when even a damped
     step at THETA_MIN lowers the dual; returns the state of that cycle and
     one trace row per accepted step.
@@ -404,25 +455,34 @@ def fixed_point(
     grid, vext = cfg.grid, external_potential(cfg)
     trace = IterationTrace()
     theta = THETA_START
-    history = _Anderson(grid)
+    history = None  # the Anderson history on G, started when prediction stops
     cyc = _evaluate_cycle(U0, min(max(2, min_bands), grid.nz - 1), cfg, vext)
     residual = _map_residual(cyc, grid)
     while residual > cfg.fp_tol and trace.iterations < cfg.max_outer:
         J = min(max(cyc.state.j_active + 1, min_bands), grid.nz - 1)
-        nxt = _evaluate_cycle(history.step(cyc, theta), J, cfg, vext, cyc.state)
+        trial = _predict(cyc, cfg) if history is None else history.step(theta)
+        nxt = _evaluate_cycle(trial, J, cfg, vext, cyc.state)
         if nxt.dual < cyc.dual - ENERGY_NOISE_REL * (1.0 + abs(cyc.dual)):
             trace.rejected_trials += 1
-            if history.pairs:
+            if history is None:
+                history = _Anderson(grid, cyc.U_in, cyc.state.U)
+            elif history.pairs:
                 history.pairs.clear()
             elif theta > THETA_MIN:
                 theta *= 0.5
             else:
                 break
             continue
-        history.push(cyc, nxt)
-        cyc = nxt
+        cyc, last = nxt, residual
         residual = _map_residual(cyc, grid)
-        trace.append(residual, cyc.state.mu, cyc.state.energy.total_direct, theta)
+        if history is None:
+            trace.predicted_steps += 1
+            trace.append(residual, cyc.state.mu, cyc.state.energy.total_direct, 1.0)
+            if residual > last / PREDICT_MIN_CUT:
+                history = _Anderson(grid, cyc.U_in, cyc.state.U)
+        else:
+            history.push(cyc.U_in, cyc.state.U)
+            trace.append(residual, cyc.state.mu, cyc.state.energy.total_direct, theta)
     trace.final_residual = residual
     trace.converged = residual <= cfg.fp_tol
     return cyc.state, trace

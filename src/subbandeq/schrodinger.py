@@ -272,7 +272,8 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
     W3: (ny1, ny2, nz-1) interior-node samples.  guess, the spectrum of a
     nearby potential on this grid (the previous outer cycle's), starts the
     iteration; sine modes stand in for bands it lacks.  Results are stored
-    by slice index.
+    by slice index.  Without a guess, a W3 whose slices are all the same
+    (a laterally uniform potential) is solved on one slice.
     """
     W3 = np.asarray(W3, dtype=float)
     ny1, ny2 = grid.lateral_shape
@@ -281,6 +282,12 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
         raise ValueError("slice potential has wrong shape")
     lam = np.empty((ny1, ny2, J))
     chi = np.empty((ny1, ny2, J, n))
+    if guess is None and np.all(W3 == W3[0, 0]):
+        # the batched solve repeats one slice's; two copies keep its column
+        # sums row by row (numpy sums a lone column pairwise)
+        l, c = _solve_block(W3.reshape(-1, n)[:2], J, grid)
+        lam[:], chi[:] = l[0], c[0]
+        return SubbandSpectrum(lam=lam, chi=chi)
     rows = max(1, _BLOCK // ny2)
     for i in range(0, ny1, rows):
         blk = slice(i, i + rows)

@@ -222,12 +222,24 @@ class TestSolve:
         def solve_with_rejections(cfg):
             state, trace = real(cfg)
             trace.rejected_trials = 3
+            trace.predicted_steps = 5
             return state, trace
 
         monkeypatch.setattr(cli, "solve_equilibrium", solve_with_rejections)
         out = tmp_path / "out"
         assert main(["solve", "--config", write_config(tmp_path, FAST), "--out", str(out)]) == 0
-        assert json.loads((out / "state.json").read_text())["rejected_trials"] == 3
+        state = json.loads((out / "state.json").read_text())
+        assert state["rejected_trials"] == 3 and state["predicted_steps"] == 5
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["sweep", "--param", "M",
+                                                                 "--values", "1e-300"]])
+    def test_failed_solve_leaves_no_output_directory(self, tmp_path, capsys, command):
+        # the output directory is created just before the first write
+        cfg = write_config(tmp_path, {"M_target": 1e-300, "grid": {"ny1": 4, "ny2": 4, "nz": 8}})
+        out = tmp_path / "out"
+        assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == 1
+        assert "target mass M = " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_round_trip_doubles(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

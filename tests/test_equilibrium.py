@@ -14,6 +14,7 @@ from subbandeq.equilibrium import (
     external_potential,
     fixed_point,
     make_state,
+    random_smooth_potential,
     solve_equilibrium,
 )
 from subbandeq.grid import Grid, l2_norm_volume
@@ -31,7 +32,8 @@ def _patch_map(monkeypatch, g, G, D, log=None):
     """Replace the outer cycle by U -> G(U) with dual D(U) (arrays in, float out).
 
     The state's free energy, which only the trace records, is D(U) too.
-    log, if given, receives (U_in, D) of every evaluation.
+    log, if given, receives (U_in, D) of every evaluation.  A synthetic map
+    has no modes to freeze: its predicted trial is the plain step G(U).
     """
     import subbandeq.equilibrium as eq
 
@@ -60,6 +62,21 @@ def _patch_map(monkeypatch, g, G, D, log=None):
                 log.append((U_in.copy(), self.dual))
 
     monkeypatch.setattr(eq, "_evaluate_cycle", lambda U, J, cfg, vext, guess=None: FakeCycle(U))
+    monkeypatch.setattr(eq, "_predict", lambda cyc, cfg: cyc.state.U)
+
+
+def _replay(cycles):
+    """Evaluated cycles split by the dual guard: accepted steps (cycle, next) and rejected count."""
+    import subbandeq.equilibrium as eq
+
+    cur, steps, rejected = cycles[0], [], 0
+    for c in cycles[1:]:
+        if c.dual < cur.dual - eq.ENERGY_NOISE_REL * (1.0 + abs(cur.dual)):
+            rejected += 1
+        else:
+            steps.append((cur, c))
+            cur = c
+    return steps, rejected
 
 
 def _patch_linear_map(monkeypatch, g, factor):
@@ -275,10 +292,11 @@ class TestSolveEquilibrium:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("T", [0.0, 0.2])
-    def test_full_steps_take_five_map_evaluations(self, monkeypatch, T):
-        # at weak coupling the full step THETA_START raises the dual on
-        # every trial: a zwell solve at M = 1 needs exactly five map
-        # evaluations (the start and four steps) and never halves theta
+    def test_predicted_steps_take_three_map_evaluations(self, monkeypatch, T):
+        # at weak coupling every frozen-mode prediction raises the dual and
+        # cuts the map residual tenfold: a zwell solve at M = 1 needs exactly
+        # three map evaluations (the start and two predicted steps, each
+        # recorded at theta 1) and rejects no trial
         import subbandeq.equilibrium as eq
 
         evals = []
@@ -293,9 +311,10 @@ class TestSolveEquilibrium:
                            vext_kind="zwell")
         _, trace = solve_equilibrium(cfg)
         assert trace.converged
-        assert len(evals) == 5
+        assert len(evals) == 3
         assert trace.rejected_trials == 0
-        assert all(t == eq.THETA_START for t in trace.thetas)
+        assert trace.predicted_steps == trace.iterations == 2
+        assert all(t == 1.0 for t in trace.thetas)
 
     def test_nonconvergence_returns_trace(self):
         cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), max_outer=2, fp_tol=1e-14)
@@ -306,7 +325,8 @@ class TestSolveEquilibrium:
     def test_adaptive_damping_halves_on_dual_decrease(self, monkeypatch):
         # physical desk-scale maps never lower the dual on a full step, so
         # the reject path is exercised with a synthetic overcorrecting map:
-        # U -> -4 U, dual -|U|^2.  The damped step at theta scales U by
+        # U -> -4 U, dual -|U|^2.  The predicted trial G(U) lowers the dual,
+        # so prediction stops.  The damped step at theta scales U by
         # 1 - 5 theta, which lowers the dual for theta > 0.4 and raises it
         # below; theta is halved from THETA_START until it does
         import subbandeq.equilibrium as eq
@@ -323,16 +343,18 @@ class TestSolveEquilibrium:
         rejected = len(thetas) - 1
         assert rejected >= 1 and thetas[-1] > eq.THETA_MIN
         assert trace.converged
-        assert trace.rejected_trials == rejected
-        for (U, _), theta in zip(log[1:], thetas):
+        assert trace.rejected_trials == 1 + rejected and trace.predicted_steps == 0
+        assert np.array_equal(log[1][0], -4.0 * U0)
+        for (U, _), theta in zip(log[2:], thetas):
             assert np.array_equal(U, (1.0 - theta) * U0 + theta * (-4.0 * U0))
-        assert all(t == thetas[-1] for t in trace.thetas)  # halved once per rejected trial
-        duals = [D for _, D in log[:1] + log[1 + rejected:]]
+        assert all(t == thetas[-1] for t in trace.thetas)  # halved once per rejected damped trial
+        duals = [D for _, D in log[:1] + log[2 + rejected:]]
         assert np.all(np.diff(duals) >= 0.0)
 
     def test_solve_stops_when_no_step_raises_the_dual(self, monkeypatch):
         # U -> U / 2 with dual +|U|^2: every trial shrinks |U| and lowers the
-        # dual.  With no history yet the damped trial is retried at theta
+        # dual.  The predicted trial fails first and stops prediction.  With
+        # no history yet the damped trial is retried at theta
         # = THETA_START * 2^-k until theta is at or below THETA_MIN; that
         # trial fails too, so the solve stops at the start, unconverged and
         # without a step
@@ -349,19 +371,21 @@ class TestSolveEquilibrium:
             thetas.append(0.5 * thetas[-1])
         assert not trace.converged
         assert trace.iterations == 0
-        assert trace.rejected_trials == len(thetas)
-        assert len(log) == 1 + len(thetas)
-        for (U, _), theta in zip(log[1:], thetas):
+        assert trace.rejected_trials == 1 + len(thetas)
+        assert len(log) == 2 + len(thetas)
+        assert np.array_equal(log[1][0], 0.5 * U0)
+        for (U, _), theta in zip(log[2:], thetas):
             assert np.array_equal(U, (1.0 - theta) * U0 + theta * (0.5 * U0))
         assert np.array_equal(state.U, 0.5 * U0)
         norm = l2_norm_volume(U0, g)
         assert trace.final_residual == pytest.approx(0.5 * norm / (1.0 + norm))
 
     def test_rejected_acceleration_falls_back_to_damped_step(self, monkeypatch):
-        # U -> U - tanh(U) from U = 3 with dual -|U|^2: the residual is
-        # nearly flat there, so the secant-like accelerated trial overshoots
-        # far past the fixed point 0 and lowers the dual, while the damped
-        # step raises it
+        # U -> U - tanh(U) from U = 3 with dual -|U|^2: the predicted step
+        # G(U) cuts the residual by far less than tenfold, so prediction stops
+        # after it.  The residual is nearly flat there, so the secant-like
+        # accelerated trial overshoots far past the fixed point 0 and lowers
+        # the dual, while the damped step raises it
         import subbandeq.equilibrium as eq
 
         g = Grid(4, 4, 8)
@@ -371,7 +395,8 @@ class TestSolveEquilibrium:
         U0 = np.full(g.volume_shape, 3.0)
         _, trace = eq.fixed_point(U0, cfg)
         assert trace.converged
-        assert trace.rejected_trials >= 1
+        assert trace.rejected_trials >= 1 and trace.predicted_steps == 1
+        assert np.array_equal(log[1][0], U0 - np.tanh(U0))
         # replay the log: after each rejected trial the next one is the
         # plain damped step from the last accepted iterate
         (U_cur, D_cur), rejected, duals = log[0], 0, [log[0][1]]
@@ -391,37 +416,66 @@ class TestSolveEquilibrium:
 
     @pytest.mark.parametrize("T", [0.0, 0.2])
     def test_real_map_ascends_the_dual_below_the_free_energy(self, monkeypatch, T):
-        # random-start solves of the real map: no accepted step lowers the
-        # dual D(U_in) by more than the noise floor, and on every evaluation
-        # F - D = (1/2) ||grad (G(U) - U)||^2
+        # random-start solves of the real map: no accepted step, predicted or
+        # not, lowers the dual D(U_in) by more than the noise floor, and on
+        # every evaluation F - D = (1/2) ||grad (G(U) - U)||^2
         import subbandeq.equilibrium as eq
 
-        cycles, steps = [], []
-        evaluate, push = eq._evaluate_cycle, eq._Anderson.push
+        cycles = []
+        evaluate = eq._evaluate_cycle
 
         def recording_evaluate(*args, **kwargs):
             cycles.append(evaluate(*args, **kwargs))
             return cycles[-1]
 
-        def recording_push(self, cyc, nxt):
-            steps.append((cyc.dual, nxt.dual))
-            push(self, cyc, nxt)
-
         monkeypatch.setattr(eq, "_evaluate_cycle", recording_evaluate)
-        monkeypatch.setattr(eq._Anderson, "push", recording_push)
         g = Grid(8, 8, 16)
         cfg = SolverConfig(M_target=1.0, model=OccupancyModel(T=T), grid=g, vext_kind="zwell",
                            init_kind="random", init_seed=3)
         _, trace = solve_equilibrium(cfg)
-        assert trace.converged
-        assert len(steps) == trace.iterations
-        assert len(cycles) == 1 + trace.iterations + trace.rejected_trials
-        for D, D_next in steps:
-            assert D_next >= D - eq.ENERGY_NOISE_REL * (1.0 + abs(D))
+        assert trace.converged and trace.predicted_steps >= 1
+        steps, rejected = _replay(cycles)
+        assert rejected == trace.rejected_trials
+        assert [eq._map_residual(c, g) for _, c in steps] == trace.residuals
         for c in cycles:
             F = c.state.energy.total_direct
             gap = 0.5 * dirichlet_energy(c.state.U - c.U_in, g)
             assert abs(F - c.dual - gap) <= 1e-12 * max(1.0, abs(F))
+
+    @pytest.mark.parametrize("T", [0.0, 0.2])
+    def test_frozen_mode_map_at_the_cycle_input_is_the_map(self, T):
+        # at V = U_k the frozen eigenvalues are the cycle's, so mu, the
+        # density and the Poisson solve repeat the cycle's bit for bit
+        import subbandeq.equilibrium as eq
+
+        g = Grid(8, 6, 16)
+        cfg = SolverConfig(M_target=3.0, model=OccupancyModel(T=T), grid=g, vext_kind="zwell")
+        cyc = eq._evaluate_cycle(random_smooth_potential(g, 5), 3, cfg, external_potential(cfg))
+        assert cyc.state.j_active >= 1
+        P = eq._frozen_map(cyc, cfg)
+        assert np.array_equal(P(cyc.U_in), cyc.state.U)
+
+    def test_strong_coupling_solve_takes_at_most_seventeen_map_evaluations(self, monkeypatch):
+        # at M = 1e5 (8x8x32 zwell) the full G step overshoots: the G-Anderson
+        # loop alone took 24 map evaluations.  Frozen-mode predictions take
+        # the first steps, and every accepted step raises the dual
+        import subbandeq.equilibrium as eq
+
+        cycles = []
+        evaluate = eq._evaluate_cycle
+
+        def recording_evaluate(*args, **kwargs):
+            cycles.append(evaluate(*args, **kwargs))
+            return cycles[-1]
+
+        monkeypatch.setattr(eq, "_evaluate_cycle", recording_evaluate)
+        cfg = SolverConfig(M_target=1e5, grid=Grid(8, 8, 32), vext_kind="zwell")
+        _, trace = solve_equilibrium(cfg)
+        assert trace.converged and trace.predicted_steps >= 1
+        assert len(cycles) <= 17
+        steps, rejected = _replay(cycles)
+        assert rejected == trace.rejected_trials and len(steps) == trace.iterations
+        assert all(c.dual > cur.dual for cur, c in steps)
 
     @pytest.mark.parametrize("theta", [0.5, 0.125])
     def test_certificate_independent_of_theta(self, monkeypatch, theta):
@@ -437,6 +491,10 @@ class TestSolveEquilibrium:
         state, trace = fixed_point(np.ones(g.volume_shape), cfg)
         assert trace.converged
         assert l2_norm_volume(state.U, g) <= cfg.fp_tol
+        # the predicted step G(U) halves the residual, so the steps after it
+        # are damped Anderson steps at theta
+        assert trace.predicted_steps == 1 and trace.thetas[0] == 1.0
+        assert trace.iterations > 1 and all(t == theta for t in trace.thetas[1:])
 
     def test_converged_start_takes_no_step(self):
         g = Grid(6, 6, 16)

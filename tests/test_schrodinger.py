@@ -182,6 +182,34 @@ class TestSolveSlices:
         assert np.array_equal(spec.lam[0, 0], lam_00)
         assert np.array_equal(spec.chi[0, 0], chi_00)
 
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_uniform_potential_solves_one_slice(self, monkeypatch, J):
+        # with no guess, a W whose slices are all the same is solved on one
+        # slice, in one block of two copies (numpy sums a lone column
+        # pairwise); the result is the batched solve of every slice bit for
+        # bit.  One slice that differs sends the grid to the batched path
+        import subbandeq.schrodinger as sch
+
+        g = Grid(5, 7, 24)
+        z = g.z_nodes()[1:-1]
+        W = np.broadcast_to(8.0 * z * (1.0 - z), (g.ny1, g.ny2, g.nz - 1)).copy()
+        lam, chi = sch._solve_block(W.reshape(-1, g.nz - 1), J, g)
+        rows, solve_block = [], sch._solve_block
+
+        def recording(Wb, *args):
+            rows.append(len(Wb))
+            return solve_block(Wb, *args)
+
+        monkeypatch.setattr(sch, "_solve_block", recording)
+        spec = solve_slices(W, J, g)
+        assert rows == [2]
+        assert np.array_equal(spec.lam, lam.reshape(g.ny1, g.ny2, J))
+        assert np.array_equal(spec.chi, chi.reshape(g.ny1, g.ny2, J, g.nz - 1))
+        W[-1, -1, 3] += 1.0
+        rows.clear()
+        solve_slices(W, J, g)
+        assert sum(rows) == g.ny1 * g.ny2
+
     def test_chi_closed_pads_zeros(self):
         g = Grid(2, 2, 16)
         spec = solve_slices(np.zeros((2, 2, g.nz - 1)), 2, g)
