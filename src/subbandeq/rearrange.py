@@ -161,9 +161,7 @@ def rearrange_occupation_decreasing(pair: AdmissiblePair) -> AdmissiblePair:
     The permutation varies with the speed, so only f is reordered; modes
     keep their band labels.
     """
-    order = occupation_sort_permutation(pair)
-    f = np.take_along_axis(pair.f, order, axis=2)
-    return replace(pair, f=f)
+    return replace(pair, f=-np.sort(-pair.f, axis=2))
 
 
 def is_energy_sorted(pair: AdmissiblePair, grid: Grid) -> bool:

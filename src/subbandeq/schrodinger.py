@@ -13,7 +13,10 @@ overlapping, and the Sturm count (negative LDL^T pivots) at sigma_{J-1} + rho
 is J; every other slice goes to dense eigh.  The pivots run unguarded, and
 columns whose pivots reach the eps ||T|| guard are recomputed with it, so
 results are those of the guarded recurrence.  A shared Rayleigh polish takes
-the eigenvalues to machine accuracy.
+the eigenvalues to machine accuracy.  A slice's result depends on its own
+potential and guess, not on its block or neighbours: a sweep works on
+C-ordered (z, pair) columns, gathering the active ones once, and adds every
+z-sum row by row over at least two columns (numpy sums a lone column pairwise).
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid:
 
 
 # Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)
-# doubles, whatever the slice count.
+# doubles, whatever the slice count; the results do not depend on it.
 _BLOCK = 256
 _MAX_SWEEPS = 6  # warm Rayleigh-quotient sweeps before a slice falls back
 _EPS = np.finfo(float).eps
@@ -173,14 +176,19 @@ def _ldl_pivots(A, shift, e: float, guard):
     return D
 
 
+def _zsum(P):
+    """Column sums of the C-ordered P, rows in order (numpy sums a lone column pairwise)."""
+    return np.add.reduce(P if P.shape[1] > 1 else np.repeat(P, 2, axis=1), axis=0)[: P.shape[1]]
+
+
 def _rayleigh(A, e: float, X):
     """Rayleigh quotients and residual norms of the unit columns of X."""
     TX = A * X
     TX[:-1] += e * X[1:]
     TX[1:] += e * X[:-1]
-    sigma = np.sum(X * TX, axis=0)
+    sigma = _zsum(X * TX)
     TX -= sigma * X
-    return sigma, np.sqrt(np.sum(TX * TX, axis=0))
+    return sigma, np.sqrt(_zsum(TX * TX))
 
 
 def _warm(a, e: float, chi_g):
@@ -188,7 +196,7 @@ def _warm(a, e: float, chi_g):
     B, J, n = chi_g.shape
     A = np.repeat(a.T, J, axis=1)  # z by (slice, band) pair
     V = chi_g.reshape(B * J, n).T.copy()
-    V /= np.sqrt(np.sum(V * V, axis=0))
+    V /= np.sqrt(_zsum(V * V))
     guard = _EPS * np.repeat(np.max(np.abs(a), axis=1) + 2.0 * abs(e), J)
     rho = 8.0 * guard
     sigma, r = _rayleigh(A, e, V)
@@ -199,19 +207,20 @@ def _warm(a, e: float, chi_g):
         act = np.flatnonzero(~((r <= guard) | ((r <= rho) & (4.0 * r > r_prev))))
         if act.size == 0:
             break
-        act = act if act.size < r.size else slice(None)
-        piv = _ldl_pivots(A[:, act], sigma[act], e, guard[act])
+        # C-ordered either way: in place, or gathered by take (A[:, act] is F-ordered)
+        Aa, X = (A, V) if act.size == r.size else (A.take(act, axis=1), V.take(act, axis=1))
+        piv = _ldl_pivots(Aa, sigma[act], e, guard[act])
         l = e / piv
-        X = V[:, act]
         for k in range(1, n):
             X[k] -= l[k - 1] * X[k - 1]
         X /= piv
         for k in range(n - 2, -1, -1):
             X[k] -= l[k] * X[k + 1]
-        X /= np.sqrt(np.sum(X * X, axis=0))
-        V[:, act] = X
+        X /= np.sqrt(_zsum(X * X))
+        if X is not V:
+            V[:, act] = X
         r_prev[act] = r[act]
-        sigma[act], r[act] = _rayleigh(A[:, act], e, X)
+        sigma[act], r[act] = _rayleigh(Aa, e, X)
     # Each interval sigma_j -/+ rho holds an eigenvalue; disjoint, increasing
     # and with J eigenvalues below the top one's end, they hold the lowest J.
     ok = np.all((r <= rho).reshape(B, J), axis=1)
@@ -271,28 +280,21 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
 
     W3: (ny1, ny2, nz-1) interior-node samples.  guess, the spectrum of a
     nearby potential on this grid (the previous outer cycle's), starts the
-    iteration; sine modes stand in for bands it lacks.  Results are stored
-    by slice index.  Without a guess, a W3 whose slices are all the same
-    (a laterally uniform potential) is solved on one slice.
+    iteration; sine modes stand in for bands it lacks.  Without a guess, a
+    laterally uniform W3 (all slices the same) is solved on one slice.
     """
-    W3 = np.asarray(W3, dtype=float)
+    W = np.asarray(W3, dtype=float)
     ny1, ny2 = grid.lateral_shape
     n = grid.nz - 1
-    if W3.shape != (ny1, ny2, n):
+    if W.shape != (ny1, ny2, n):
         raise ValueError("slice potential has wrong shape")
-    lam = np.empty((ny1, ny2, J))
-    chi = np.empty((ny1, ny2, J, n))
-    if guess is None and np.all(W3 == W3[0, 0]):
-        # the batched solve repeats one slice's; two copies keep its column
-        # sums row by row (numpy sums a lone column pairwise)
-        l, c = _solve_block(W3.reshape(-1, n)[:2], J, grid)
-        lam[:], chi[:] = l[0], c[0]
-        return SubbandSpectrum(lam=lam, chi=chi)
-    rows = max(1, _BLOCK // ny2)
-    for i in range(0, ny1, rows):
-        blk = slice(i, i + rows)
-        chi_g = None if guess is None else guess.chi[blk, :, :J].reshape(-1, min(J, guess.J), n)
-        l, c = _solve_block(W3[blk].reshape(-1, n), J, grid, chi_g)
-        lam[blk] = l.reshape(-1, ny2, J)
-        chi[blk] = c.reshape(-1, ny2, J, n)
-    return SubbandSpectrum(lam=lam, chi=chi)
+    W = W.reshape(-1, n)
+    lam, chi = np.empty((len(W), J)), np.empty((len(W), J, n))
+    if guess is None and np.all(W == W[0]):
+        lam[:], chi[:] = _solve_block(W[:1], J, grid)
+    else:
+        for i in range(0, len(W), _BLOCK):
+            blk = slice(i, i + _BLOCK)
+            chi_g = None if guess is None else guess.chi.reshape(len(W), guess.J, n)[blk, :J]
+            lam[blk], chi[blk] = _solve_block(W[blk], J, grid, chi_g)
+    return SubbandSpectrum(lam=lam.reshape(ny1, ny2, J), chi=chi.reshape(ny1, ny2, J, n))

@@ -16,6 +16,7 @@ from subbandeq.schrodinger import (
     SubbandSpectrum,
     _guarded_pivots,
     _ldl_pivots,
+    _solve_block,
     _warm,
     free_mode_eigenvalue,
     profile_kinetic_energy,
@@ -38,6 +39,34 @@ def double_well(grid):
     z = grid.z_nodes()[1:-1]
     prof = -4000.0 * sum(np.exp(-0.5 * ((z - c) / 0.02) ** 2) for c in (0.15, 0.8))
     return np.broadcast_to(prof, grid.lateral_shape + prof.shape).copy()
+
+
+def record_sweeps(monkeypatch):
+    """Column counts of the Rayleigh passes of each _warm call.
+
+    Each entry lists the block's (slice, band) columns first, then the
+    columns still active in each sweep.
+    """
+    import subbandeq.schrodinger as sch
+
+    calls, warm, rayleigh = [], sch._warm, sch._rayleigh
+
+    def warm_recording(*args):
+        calls.append([])
+        return warm(*args)
+
+    def rayleigh_recording(A, e, X):
+        calls[-1].append(X.shape[1])
+        return rayleigh(A, e, X)
+
+    monkeypatch.setattr(sch, "_warm", warm_recording)
+    monkeypatch.setattr(sch, "_rayleigh", rayleigh_recording)
+    return calls
+
+
+def partly_active(calls) -> bool:
+    """Some sweep left a block with active and converged columns."""
+    return any(0 < m < cols[0] for cols in calls for m in cols[1:])
 
 
 def tridiagonal_apply(W, chi, grid):
@@ -185,9 +214,8 @@ class TestSolveSlices:
     @pytest.mark.parametrize("J", [1, 3])
     def test_uniform_potential_solves_one_slice(self, monkeypatch, J):
         # with no guess, a W whose slices are all the same is solved on one
-        # slice, in one block of two copies (numpy sums a lone column
-        # pairwise); the result is the batched solve of every slice bit for
-        # bit.  One slice that differs sends the grid to the batched path
+        # slice; the result is the batched solve of every slice bit for bit.
+        # One slice that differs sends the grid to the batched path
         import subbandeq.schrodinger as sch
 
         g = Grid(5, 7, 24)
@@ -202,7 +230,7 @@ class TestSolveSlices:
 
         monkeypatch.setattr(sch, "_solve_block", recording)
         spec = solve_slices(W, J, g)
-        assert rows == [2]
+        assert rows == [1]
         assert np.array_equal(spec.lam, lam.reshape(g.ny1, g.ny2, J))
         assert np.array_equal(spec.chi, chi.reshape(g.ny1, g.ny2, J, g.nz - 1))
         W[-1, -1, 3] += 1.0
@@ -216,6 +244,78 @@ class TestSolveSlices:
         full = zero_extend(spec.chi)
         assert full.shape == (2, 2, 2, g.nz + 1)
         assert np.all(full[..., 0] == 0.0) and np.all(full[..., -1] == 0.0)
+
+
+class TestBlockIndependence:
+    """A slice's eigenpairs depend on its own potential and guess alone."""
+
+    @staticmethod
+    def mixed_slices(g):
+        """W and a guess where a third of the slices start converged, the rest not.
+
+        On W = 0 the sine modes are exact, and the guess is exact there too.
+        """
+        W = zwell_noise(g, 5)
+        W[: g.ny1 // 3] = 0.0
+        noise = 0.05 * np.random.default_rng(2).standard_normal(W.shape)
+        noise[: g.ny1 // 3] = 0.0
+        return W, solve_slices(W + noise, 4, g)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bitwise_equal_for_every_block_size(self, monkeypatch, warm):
+        import subbandeq.schrodinger as sch
+
+        g = Grid(24, 24, 32)
+        W, guess = self.mixed_slices(g)
+        guess = guess if warm else None
+        specs = []
+        for block in (g.ny2, 256, g.ny1 * g.ny2):  # one row, the default, the whole grid
+            monkeypatch.setattr(sch, "_BLOCK", block)
+            calls = record_sweeps(monkeypatch)
+            specs.append(solve_slices(W, 4, g, guess))
+            monkeypatch.undo()
+        assert partly_active(calls)  # the whole-grid block
+        for spec in specs[1:]:
+            assert np.array_equal(spec.lam, specs[0].lam)
+            assert np.array_equal(spec.chi, specs[0].chi)
+
+    @pytest.mark.parametrize("nz", [64, 96])
+    @pytest.mark.parametrize("J", [1, 2])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_lone_column_sums_like_a_batch(self, monkeypatch, nz, J, warm):
+        # numpy sums a lone (n, 1) column pairwise: a one-slice block at
+        # J = 1, or a sweep with one column left, must still sum row by row
+        g = Grid(2, 3, nz)
+        n = nz - 1
+        W = zwell_noise(g, 4).reshape(-1, n)
+        chi_g = None
+        if warm:
+            chi_g = _solve_block(W + 0.05 * np.random.default_rng(1).standard_normal(W.shape), J, g)[1]
+            chi_g[:, :-1] = _solve_block(W, J, g)[1][:, :-1]  # only the top band stays active
+        lam, chi = _solve_block(W, J, g, chi_g)
+        for i in range(len(W)):
+            calls = record_sweeps(monkeypatch)
+            l1, c1 = _solve_block(W[i : i + 1], J, g, None if chi_g is None else chi_g[i : i + 1])
+            monkeypatch.undo()
+            if warm:
+                assert 1 in calls[0][1:]  # a sweep with a single active column
+            assert np.array_equal(l1[0], lam[i])
+            assert np.array_equal(c1[0], chi[i])
+
+    def test_permuting_slices_permutes_the_spectrum(self, monkeypatch):
+        g = Grid(24, 24, 32)
+        W, guess = self.mixed_slices(g)
+        perm = np.random.default_rng(4).permutation(g.ny1 * g.ny2)
+
+        def permuted(x):
+            return x.reshape((-1,) + x.shape[2:])[perm].reshape(x.shape)
+
+        spec = solve_slices(W, 4, g, guess)
+        calls = record_sweeps(monkeypatch)
+        moved = solve_slices(permuted(W), 4, g, SubbandSpectrum(permuted(guess.lam), permuted(guess.chi)))
+        assert partly_active(calls)
+        assert np.array_equal(moved.lam, permuted(spec.lam))
+        assert np.array_equal(moved.chi, permuted(spec.chi))
 
 
 class TestPivots:
