@@ -17,7 +17,6 @@ from .equilibrium import (
     FreeEnergyBreakdown,
     IterationTrace,
     SolverConfig,
-    assemble_density,
     external_potential,
     solve_equilibrium,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "FreeEnergyBreakdown",
     "IterationTrace",
     "SolverConfig",
-    "assemble_density",
     "choose_J_max",
     "external_potential",
     "solve_equilibrium",

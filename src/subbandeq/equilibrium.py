@@ -4,8 +4,8 @@ One outer cycle maps a trial potential U to a new one:
 
     eigensolve every lateral slice of U + V_ext (from the last cycle's modes)
       -> chemical potential mu matching the target mass (from the last mu)
-      -> per-band densities rho_j = 2 pi G(mu - lambda_j) and total density
-      -> Poisson solve for the induced potential U_new = G(U).
+      -> occupy_modes: per-band densities rho_j = 2 pi G(mu - lambda_j) and
+         the Poisson potential U_new = G(U) of the density sum_j rho_j chi_j^2.
 
 The eigensolve computes only the bands the certificate needs: J = 2 on the
 first cycle, then one above the last cycle's occupied bands, J_active + 1.
@@ -17,14 +17,16 @@ After the mu solve the cycle checks that its top band is empty,
 min_y lambda_J(y) > mu; if not, it adds one band and redoes the eigensolve
 and the mu solve from the cycle's own start (the last cycle's modes and
 mu), so the retried cycle is bit for bit the one a budget of J + 1 would
-have run.  At J = nz - 1 every discrete band is present and nothing can be
-cut off, so the retry stops there whatever the margin.
+have run; only the last J is occupied, so a retry costs no Poisson solve.
+At J = nz - 1 every discrete band is present and nothing can be cut off,
+so the retry stops there whatever the margin.
 
 Potentials and densities are float arrays of Grid.volume_shape; a state
 stores rho_j and derives the total density from it.
 
 The first trials are frozen-mode predictions (A. Trellakis et al., J. Appl.
-Phys. 81, 7880, 1997; see _frozen_map), each evaluated by a full cycle.
+Phys. 81, 7880, 1997), each evaluated by a full cycle.  The frozen-mode map P
+ends in occupy_modes as the cycle does, so P(U_k) = G(U_k) by construction.
 Prediction stops for the rest of the solve at the first predicted trial
 that the dual guard below rejects, or that cuts the map residual by less
 than PREDICT_MIN_CUT.  From then on the next trial is an Anderson-mixed
@@ -62,6 +64,7 @@ from .schrodinger import (
     band_total,
     confined_kinetic,
     external_pairing,
+    mode_expectations,
     solve_slices,
     zero_extend,
 )
@@ -169,17 +172,15 @@ def subband_bound(mu: float) -> float:
     return math.sqrt(3.0 * max(mu, 0.0)) / math.pi
 
 
-def assemble_density(
-    spectrum: SubbandSpectrum, mu: float, model: OccupancyModel, grid: Grid
+def occupy_modes(
+    lam: np.ndarray, mu: float, chi2: np.ndarray, grid: Grid, model: OccupancyModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-band lateral densities and the total density field.
+    """Band densities rho_j = 2 pi G(mu - lambda_j) and the potential of sum_j rho_j chi_j^2.
 
-    rho_j(y) = 2 pi G(mu - lambda_j(y)); rho(x) = sum_j rho_j(y) chi_j(x)^2.
+    chi2 = zero_extend(chi) ** 2 holds the squared modes on the closed z-nodes.
     """
-    if spectrum.lam.shape[:2] != grid.lateral_shape:
-        raise ValueError("spectrum does not match grid")
-    rho_j = 2.0 * np.pi * model.profile_g(mu - spectrum.lam)
-    return rho_j, band_sum_density(rho_j, spectrum.chi)
+    rho_j = 2.0 * np.pi * model.profile_g(mu - lam)
+    return rho_j, solve_poisson(band_sum_density(rho_j, chi2), grid)
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,9 @@ class FreeEnergyBreakdown:
 class EquilibriumState:
     """Converged (or best-effort) self-consistent state.
 
-    U is the potential induced by rho, which is assembled from the stored
-    spectrum and mu, so the internal consistency identities hold exactly;
-    the Schrodinger-side consistency is certified by the final residual.
+    rho_j and U are occupy_modes at the stored spectrum and mu, so U is the
+    Poisson potential of rho bit for bit; the Schrodinger-side consistency
+    is certified by the final residual.
     """
 
     mu: float
@@ -236,7 +237,7 @@ class EquilibriumState:
     @property
     def rho(self) -> np.ndarray:
         """Total density sum_j rho_j(y) chi_j(x)^2, shape volume_shape."""
-        return band_sum_density(self.rho_j, self.spectrum.chi)
+        return band_sum_density(self.rho_j, zero_extend(self.spectrum.chi) ** 2)
 
     def mass(self, grid: Grid) -> float:
         return band_total(self.rho_j) * grid.hy1 * grid.hy2
@@ -258,7 +259,7 @@ class EquilibriumState:
         m = self.mass(grid)
         if abs(m - cfg.M_target) > MASS_REL_TOL * cfg.M_target:
             raise AssertionError(f"mass {m} misses target {cfg.M_target}")
-        rho_j, _ = assemble_density(self.spectrum, self.mu, cfg.model, grid)
+        rho_j = 2.0 * np.pi * cfg.model.profile_g(self.mu - self.spectrum.lam)
         scale = max(1.0, float(np.max(np.abs(self.rho_j))))
         if np.max(np.abs(rho_j - self.rho_j)) > 1e-12 * scale:
             raise AssertionError("stored band densities are not 2 pi G(mu - lambda_j)")
@@ -292,22 +293,10 @@ class IterationTrace:
 
 
 def make_state(
-    spectrum: SubbandSpectrum,
-    mu: float,
-    grid: Grid,
-    model: OccupancyModel,
-    vext: np.ndarray,
-    U: np.ndarray | None = None,
+    spectrum: SubbandSpectrum, mu: float, rho_j: np.ndarray, U: np.ndarray,
+    grid: Grid, model: OccupancyModel, vext: np.ndarray,
 ) -> EquilibriumState:
-    """Assemble a state, both free-energy routes included, from a spectrum and mu.
-
-    The potential defaults to the Poisson solution of the assembled
-    density; passing U explicitly decouples the field (useful for oracle
-    tests against closed forms).
-    """
-    rho_j, rho = assemble_density(spectrum, mu, model, grid)
-    if U is None:
-        U = solve_poisson(rho, grid)
+    """The state of occupy_modes' (rho_j, U) at spectrum and mu, both free-energy routes included."""
     area_w = grid.hy1 * grid.hy2
     gap = mu - spectrum.lam
     energy = FreeEnergyBreakdown(
@@ -316,7 +305,8 @@ def make_state(
         field_energy=0.5 * dirichlet_energy(U, grid),
         casimir=model.T * 2.0 * np.pi * band_total(model.profile_b(gap)) * area_w,
         quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
-        vext_pairing=external_pairing(rho_j, spectrum.chi, vext, grid),
+        # squared anew: kept from occupy_modes, they would raise the peak memory
+        vext_pairing=external_pairing(rho_j, zero_extend(spectrum.chi) ** 2, vext, grid),
     )
     return EquilibriumState(mu=mu, spectrum=spectrum, U=U, rho_j=rho_j, energy=energy)
 
@@ -338,17 +328,18 @@ def _evaluate_cycle(
 
     While the top band is occupied somewhere and J < nz - 1, J grows by one
     and the eigensolve and the mu solve run again from the same start, so a
-    retried cycle is the one the larger budget would have run.
+    retried cycle is the one the larger budget runs; occupy_modes runs once.
     """
     grid = cfg.grid
-    W = (U_in + vext)[:, :, 1:-1]
     modes, mu_guess = (None, None) if guess is None else (guess.spectrum, guess.mu)
     for J in range(J, grid.nz):
-        spectrum = solve_slices(W, J, grid, modes)
+        # W formed per eigensolve is not alive at occupy_modes' memory peak
+        spectrum = solve_slices((U_in + vext)[:, :, 1:-1], J, grid, modes)
         mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
         if np.min(spectrum.lam[..., -1]) > mu:
             break
-    state = make_state(spectrum, mu, grid, cfg.model, vext)
+    rho_j, U = occupy_modes(spectrum.lam, mu, zero_extend(spectrum.chi) ** 2, grid, cfg.model)
+    state = make_state(spectrum, mu, rho_j, U, grid, cfg.model, vext)
     e = state.energy
     dual = e.kinetic_v + e.band_energy + e.casimir - 0.5 * dirichlet_energy(U_in, grid)
     return _Cycle(U_in, state, dual)
@@ -410,18 +401,16 @@ def _frozen_map(cyc: _Cycle, cfg: SolverConfig):
 
     P keeps the cycle's modes chi_j and moves their eigenvalues to their
     Rayleigh quotients at V, lambda_j + <chi_j^2, V - U_k>; then it solves
-    mu from the cycle's mu, assembles the density and solves Poisson as a
-    cycle does, with no eigensolve.  P(U_k) is G(U_k) bit for bit.
+    mu from the cycle's mu and ends in occupy_modes, as the cycle does: at
+    V = U_k every input is the cycle's, so P(U_k) is G(U_k) bit for bit.
     """
     grid, state = cfg.grid, cyc.state
     chi2 = zero_extend(state.spectrum.chi) ** 2
-    zw = grid.z_weights()
 
     def P(V: np.ndarray) -> np.ndarray:
-        lam = state.spectrum.lam + np.einsum("abz,abjz->abj", (V - cyc.U_in) * zw, chi2)
+        lam = state.spectrum.lam + mode_expectations(V - cyc.U_in, chi2, grid)
         mu = solve_mu(cfg.M_target, lam, grid, cfg.model, mu_guess=state.mu)
-        rho_j = 2.0 * np.pi * cfg.model.profile_g(mu - lam)
-        return solve_poisson(np.einsum("abj,abjz->abz", rho_j, chi2), grid)
+        return occupy_modes(lam, mu, chi2, grid, cfg.model)[1]
 
     return P
 
@@ -494,7 +483,7 @@ def solve_equilibrium(cfg: SolverConfig) -> tuple[EquilibriumState, IterationTra
     Returns the final state and the per-iteration trace; trace.converged
     tells whether the map residual of the returned state's cycle met
     cfg.fp_tol within cfg.max_outer steps.  The state always satisfies the
-    mass and density-assembly identities; the residual certifies
+    mass and occupy_modes identities; the residual certifies
     Schrodinger-Poisson consistency.
     """
     if cfg.init_kind == "zero":

@@ -29,6 +29,7 @@ from .schrodinger import (
     confined_kinetic,
     external_pairing,
     profile_kinetic_energy,
+    zero_extend,
 )
 
 
@@ -121,8 +122,8 @@ def pair_free_energy(
     Kinetic + confined kinetic + external pairing + field + T * Casimir,
     all on the pair's own quadratures.
     """
-    rho_j = band_densities(pair)
-    U = solve_poisson(band_sum_density(rho_j, pair.chi), grid)
+    rho_j, chi2 = band_densities(pair), zero_extend(pair.chi) ** 2
+    U = solve_poisson(band_sum_density(rho_j, chi2), grid)
     total = (
         velocity_kinetic(pair, grid)
         + confined_kinetic(rho_j, pair.chi, grid)
@@ -130,7 +131,7 @@ def pair_free_energy(
         + model.T * pair_casimir(pair, grid, model)
     )
     if vext is not None:
-        total += external_pairing(rho_j, pair.chi, vext, grid)
+        total += external_pairing(rho_j, chi2, vext, grid)
     return float(total), U
 
 

@@ -102,12 +102,13 @@ def profile_kinetic_energy(chi: np.ndarray, grid: Grid) -> np.ndarray:
 # ---- mode-weighted integrals ---------------------------------------------------
 # The solver's band densities rho_j = 2 pi G(mu - lambda_j) and an admissible
 # pair's rho_j = int f_j dv meet the modes only through the functions below,
-# so both sides integrate over z with one quadrature.
+# so both sides integrate over z with one quadrature.  chi2 is the squared
+# modes on the closed z-nodes, zero_extend(chi) ** 2, formed once by the caller.
 
 
-def band_sum_density(rho_j: np.ndarray, chi: np.ndarray) -> np.ndarray:
+def band_sum_density(rho_j: np.ndarray, chi2: np.ndarray) -> np.ndarray:
     """rho(x) = sum_j rho_j(y) chi_j(x)^2 on the closed z-nodes, shape (ny1, ny2, nz+1)."""
-    return np.einsum("abj,abjz->abz", rho_j, zero_extend(chi) ** 2)
+    return np.einsum("abj,abjz->abz", rho_j, chi2)
 
 
 def band_total(x: np.ndarray) -> float:
@@ -120,17 +121,14 @@ def confined_kinetic(rho_j: np.ndarray, chi: np.ndarray, grid: Grid) -> float:
     return 0.5 * band_total(profile_kinetic_energy(chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
-def mode_expectations(W: np.ndarray, chi: np.ndarray, grid: Grid) -> np.ndarray:
-    """int W chi_j^2 dz per slice and band, shape (ny1, ny2, J).
-
-    W is sampled on lateral nodes x closed z-nodes.
-    """
-    return np.einsum("abz,abjz->abj", W * grid.z_weights()[None, None, :], zero_extend(chi) ** 2)
+def mode_expectations(W: np.ndarray, chi2: np.ndarray, grid: Grid) -> np.ndarray:
+    """int W chi_j^2 dz per slice and band, shape (ny1, ny2, J); W on lateral x closed z-nodes."""
+    return np.einsum("abz,abjz->abj", W * grid.z_weights()[None, None, :], chi2)
 
 
-def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
+def external_pairing(rho_j: np.ndarray, chi2: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
     """sum_j int V chi_j^2 rho_j dx, V sampled on lateral nodes x closed z-nodes."""
-    return band_total(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
+    return band_total(mode_expectations(vext, chi2, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
 # Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)

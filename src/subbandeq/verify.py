@@ -53,7 +53,7 @@ from .rearrange import (
     velocity_kinetic,
 )
 from .schrodinger import band_sum_density, confined_kinetic, sine_modes, solve_slices  # noqa: F401
-from .schrodinger import check_orthonormal
+from .schrodinger import check_orthonormal, zero_extend
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def check_kinetic_interpolation(pair: AdmissiblePair, s: float, grid: Grid) -> C
         raise ValueError("exponent must lie in [1, 3)")
     q = (5.0 * s - 3.0) / (3.0 * s - 1.0)
     rho_j = band_densities(pair)
-    rho = band_sum_density(rho_j, pair.chi)
+    rho = band_sum_density(rho_j, zero_extend(pair.chi) ** 2)
     lhs = float(np.sum(rho**q * grid.node_volumes()) ** (1.0 / q))
     fs = np.einsum("abjv,v->j", pair.f**s, pair.vgrid.weights) * (grid.hy1 * grid.hy2)
     fs_norms = fs ** (1.0 / s)
@@ -506,14 +506,14 @@ def check_rearrangement_invariance(
     with the mode it traveled with.  Errors are absolute, against
     1e-12 * max(1, mass).
     """
-    rho_j = band_densities(pair)
+    rho_j, chi2 = band_densities(pair), zero_extend(pair.chi) ** 2
     mass = pair_mass(pair, grid)
     casimir = pair_casimir(pair, grid, model)
-    rho = band_sum_density(rho_j, pair.chi)
+    rho = band_sum_density(rho_j, chi2)
     qkin = confined_kinetic(rho_j, pair.chi, grid)
     energy = velocity_kinetic(pair, grid) + qkin + model.T * casimir
     up = rearrange_energy_increasing(pair, grid)
-    rho_j_up = band_densities(up)
+    rho_j_up, chi2_up = band_densities(up), zero_extend(up.chi) ** 2
     casimir_up = pair_casimir(up, grid, model)
     energy_up = (
         velocity_kinetic(up, grid) + confined_kinetic(rho_j_up, up.chi, grid) + model.T * casimir_up
@@ -523,11 +523,11 @@ def check_rearrangement_invariance(
     errs = {
         "mass_up": abs(pair_mass(up, grid) - mass),
         "casimir_up": abs(casimir_up - casimir),
-        "density_up": float(np.max(np.abs(band_sum_density(rho_j_up, up.chi) - rho))),
+        "density_up": float(np.max(np.abs(band_sum_density(rho_j_up, chi2_up) - rho))),
         "energy_up": abs(energy_up - energy),
         "mass_down": abs(pair_mass(down, grid) - mass),
         "casimir_down": abs(pair_casimir(down, grid, model) - casimir),
-        "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, pair.chi) - rho))),
+        "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, chi2) - rho))),
         "energy_down_joint": abs(confined_kinetic(rho_joint, pair.chi, grid) - qkin),
         "idempotent_up": float(np.max(np.abs(rearrange_energy_increasing(up, grid).chi - up.chi))),
         "idempotent_down": float(np.max(np.abs(rearrange_occupation_decreasing(down).f - down.f))),

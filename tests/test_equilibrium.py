@@ -10,22 +10,41 @@ import pytest
 import subbandeq
 from subbandeq.equilibrium import (
     SolverConfig,
-    assemble_density,
     external_potential,
     fixed_point,
     make_state,
+    occupy_modes,
     random_smooth_potential,
     solve_equilibrium,
 )
 from subbandeq.grid import Grid, l2_norm_volume
 from subbandeq.occupancy import OccupancyModel, subband_mass
-from subbandeq.poisson import gradient_distance, dirichlet_energy
-from subbandeq.schrodinger import SubbandSpectrum, free_mode_eigenvalue, solve_slices
+from subbandeq.poisson import gradient_distance, dirichlet_energy, solve_poisson
+from subbandeq.schrodinger import (
+    SubbandSpectrum,
+    band_sum_density,
+    free_mode_eigenvalue,
+    solve_slices,
+    zero_extend,
+)
 from subbandeq.verify import check_subband_structure, choose_J_max
 
 
 def free_spectrum(grid, J):
     return solve_slices(np.zeros((grid.ny1, grid.ny2, grid.nz - 1)), J, grid)
+
+
+def occupied(spec, mu, grid, model):
+    """occupy_modes at the spectrum's eigenpairs: rho_j, the total density and U."""
+    chi2 = zero_extend(spec.chi) ** 2
+    rho_j, U = occupy_modes(spec.lam, mu, chi2, grid, model)
+    return rho_j, band_sum_density(rho_j, chi2), U
+
+
+def state_at(spec, mu, grid, model, vext, U=None):
+    """make_state on occupy_modes at spec and mu; a given U replaces its potential (field decoupled)."""
+    rho_j, _, U_closed = occupied(spec, mu, grid, model)
+    return make_state(spec, mu, rho_j, U_closed if U is None else U, grid, model, vext)
 
 
 def _patch_map(monkeypatch, g, G, D, log=None):
@@ -107,14 +126,14 @@ class TestAssembleDensity:
         g = Grid(6, 6, 16)
         spec = free_spectrum(g, 2)
         mu = float(np.min(spec.lam)) - 1.0
-        rho_j, rho = assemble_density(spec, mu, OccupancyModel(T=0.0), g)
-        assert np.all(rho_j == 0.0) and np.all(rho == 0.0)
+        rho_j, rho, U = occupied(spec, mu, g, OccupancyModel(T=0.0))
+        assert np.all(rho_j == 0.0) and np.all(rho == 0.0) and np.all(U == 0.0)
 
     def test_single_band_ramp(self):
         g = Grid(6, 6, 16)
         spec = free_spectrum(g, 2)
         mu = float(np.min(spec.lam[:, :, 0])) + 0.5
-        rho_j, _ = assemble_density(spec, mu, OccupancyModel(T=0.0), g)
+        rho_j, _, _ = occupied(spec, mu, g, OccupancyModel(T=0.0))
         expected = 2.0 * np.pi * np.maximum(mu - spec.lam[:, :, 0], 0.0)
         assert np.allclose(rho_j[:, :, 0], expected, rtol=1e-14)
         assert np.all(rho_j[:, :, 1] == 0.0)
@@ -125,7 +144,7 @@ class TestAssembleDensity:
         W = rng.uniform(0.0, 5.0, (5, 5, g.nz - 1))
         spec = solve_slices(W, 3, g)
         mu = float(np.min(spec.lam)) + 8.0
-        rho_j, rho = assemble_density(spec, mu, OccupancyModel(T=0.3, p=2.0), g)
+        rho_j, rho, _ = occupied(spec, mu, g, OccupancyModel(T=0.3, p=2.0))
         for i in range(5):
             for k in range(5):
                 marginal = np.sum(rho[i, k] * g.z_weights())
@@ -134,7 +153,7 @@ class TestAssembleDensity:
     def test_density_nonnegative(self):
         g = Grid(4, 4, 16)
         spec = free_spectrum(g, 3)
-        _, rho = assemble_density(spec, 30.0, OccupancyModel(T=0.5, p=1.5), g)
+        _, rho, _ = occupied(spec, 30.0, g, OccupancyModel(T=0.5, p=1.5))
         assert np.min(rho) >= 0.0
 
 
@@ -143,7 +162,7 @@ class TestFreeEnergy:
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
         mu = float(np.min(spec.lam)) - 1.0
-        state = make_state(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
+        state = state_at(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         e = state.energy
         assert e.total_direct == 0.0 and e.total_primal == 0.0
         assert e.kinetic_v == e.band_energy == e.field_energy == e.casimir == 0.0
@@ -158,7 +177,7 @@ class TestFreeEnergy:
         A = g.lateral_area()
         mu = lam1 + M / (2.0 * np.pi * A)
         zero = np.zeros(g.volume_shape)
-        state = make_state(spec, mu, g, OccupancyModel(T=0.0), zero, U=zero)
+        state = state_at(spec, mu, g, OccupancyModel(T=0.0), zero, U=zero)
         assert state.mass(g) == pytest.approx(M, rel=1e-12)
         oracle = M**2 / (4.0 * np.pi * A) + lam1 * M
         assert state.energy.total_primal == pytest.approx(oracle, rel=1e-12)
@@ -181,8 +200,8 @@ class TestFreeEnergy:
         vext = rng.uniform(0.0, 5.0, g.volume_shape)
         U = rng.standard_normal(g.volume_shape)
         model = OccupancyModel(T=T)
-        a = make_state(narrow, mu, g, model, vext, U=U)
-        b = make_state(wide, mu, g, model, vext, U=U)
+        a = state_at(narrow, mu, g, model, vext, U=U)
+        b = state_at(wide, mu, g, model, vext, U=U)
         assert a.energy.as_dict() == b.energy.as_dict()
         assert a.mass(g) == b.mass(g)
         assert subband_mass(mu, narrow.lam, g, model) == subband_mass(mu, wide.lam, g, model)
@@ -229,7 +248,8 @@ class TestSolveEquilibrium:
         state, trace = solve_equilibrium(cfg)
         assert trace.converged
         state.validate(cfg)
-        assert np.array_equal(state.rho, assemble_density(state.spectrum, state.mu, model, g)[1])
+        rho_j, _, U = occupied(state.spectrum, state.mu, g, model)
+        assert np.array_equal(state.rho_j, rho_j) and np.array_equal(state.U, U)
         bad = dataclasses.replace(state, rho_j=state.rho_j * (1.0 + 1e-9))
         with pytest.raises(AssertionError, match="band densities"):
             bad.validate(cfg)
@@ -534,6 +554,40 @@ class TestSolveEquilibrium:
         assert fixed.spectrum.J == cfg.grid.nz - 1 > state.spectrum.J
         assert state.mu == fixed.mu
 
+    @pytest.mark.parametrize("T, M, nz", [(0.0, 1.0, 16), (0.2, 1.0, 16), (0.0, 400.0, 8)])
+    def test_state_potential_is_the_poisson_potential_of_its_density(self, T, M, nz):
+        # the state's rho and the closure that produced its U contract
+        # rho_j with the same squared modes, so they cannot drift apart;
+        # at M = 400 the first cycle retries its band budget
+        g = Grid(8, 8, nz)
+        cfg = SolverConfig(M_target=M, model=OccupancyModel(T=T), grid=g, vext_kind="zwell")
+        state, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        assert np.array_equal(state.U, solve_poisson(state.rho, g))
+
+    def test_poisson_and_mu_solves_per_map_and_frozen_map_evaluation(self, monkeypatch):
+        # every cycle and every evaluation of the frozen-mode map P ends in
+        # one Poisson solve, and every eigensolve and every P evaluation in
+        # one mu solve.  At M = 400 the first cycle retries its band budget,
+        # and a retry pays an eigensolve and a mu solve but no Poisson solve
+        import subbandeq.equilibrium as eq
+
+        calls = dict.fromkeys(("solve_slices", "solve_mu", "solve_poisson", "_evaluate_cycle",
+                               "_predict"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(eq, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(eq, name, counting)
+        cfg = SolverConfig(M_target=400.0, grid=Grid(8, 8, 8), vext_kind="zwell")
+        _, trace = solve_equilibrium(cfg)
+        assert trace.converged and trace.predicted_steps >= 1
+        evals, p_evals = calls["_evaluate_cycle"], eq.PREDICTOR_STEPS * calls["_predict"]
+        assert calls["solve_slices"] > evals
+        assert calls["solve_poisson"] == evals + p_evals
+        assert calls["solve_mu"] == calls["solve_slices"] + p_evals
+
     def test_budget_capped_at_every_discrete_band(self):
         # nz = 4 has 3 interior nodes, so 3 bands are all there are; at
         # M = 3000 every one is occupied and the solve runs with a negative
@@ -577,7 +631,7 @@ class TestActiveSubbands:
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
         mu = float(np.min(spec.lam)) - 1.0
-        state = make_state(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
+        state = state_at(spec, mu, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         r = check_subband_structure(state)
         assert r.passed and r.lhs == 0
 
@@ -597,7 +651,7 @@ class TestActiveSubbands:
         # mu = 5 gives cap sqrt(15)/pi + 1 ~ 2.23, so at most one active band
         g = Grid(5, 5, 16)
         spec = free_spectrum(g, 2)
-        state = make_state(spec, 5.0, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
+        state = state_at(spec, 5.0, g, OccupancyModel(T=0.0), np.zeros(g.volume_shape))
         r = check_subband_structure(state)
         assert r.rhs == pytest.approx(np.sqrt(15.0) / np.pi + 1.0)
         assert r.passed and r.lhs <= 1

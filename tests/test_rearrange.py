@@ -110,8 +110,8 @@ class TestEnergySort:
             assert abs(
                 pair_casimir(out, GRID, model) - pair_casimir(pair, GRID, model)
             ) <= 1e-12
-            d0 = band_sum_density(band_densities(pair), pair.chi)
-            d1 = band_sum_density(band_densities(out), out.chi)
+            d0 = band_sum_density(band_densities(pair), zero_extend(pair.chi) ** 2)
+            d1 = band_sum_density(band_densities(out), zero_extend(out.chi) ** 2)
             assert np.max(np.abs(d1 - d0)) <= 1e-12 * max(1.0, np.max(np.abs(d0)))
 
     def test_idempotent(self):
@@ -149,9 +149,9 @@ class TestOccupationSort:
     def test_joint_density_invariance(self):
         for seed in range(3):
             pair = random_test_pair(GRID, 3, VGRID, seed + 50)
-            order = occupation_sort_permutation(pair)
-            joint = band_sum_density(joint_band_densities(pair, order), pair.chi)
-            plain = band_sum_density(band_densities(pair), pair.chi)
+            order, chi2 = occupation_sort_permutation(pair), zero_extend(pair.chi) ** 2
+            joint = band_sum_density(joint_band_densities(pair, order), chi2)
+            plain = band_sum_density(band_densities(pair), chi2)
             assert np.max(np.abs(joint - plain)) <= 1e-12 * max(1.0, np.max(plain))
 
     def test_joint_density_follows_order(self):
@@ -161,9 +161,10 @@ class TestOccupationSort:
         pair = random_test_pair(GRID, 3, VGRID, seed=53)
         order = occupation_sort_permutation(pair)
         broken = np.where(order == 1, 0, order)
-        plain = band_sum_density(band_densities(pair), pair.chi)
+        chi2 = zero_extend(pair.chi) ** 2
+        plain = band_sum_density(band_densities(pair), chi2)
         for o in (order, broken):
-            joint = band_sum_density(joint_band_densities(pair, o), pair.chi)
+            joint = band_sum_density(joint_band_densities(pair, o), chi2)
             assert np.max(np.abs(joint - joint_density_loop(pair, o))) <= 1e-13 * np.max(plain)
         assert np.max(np.abs(joint - plain)) > 1e-3 * np.max(plain)
 

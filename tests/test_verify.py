@@ -21,7 +21,7 @@ from subbandeq.rearrange import (
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes
+from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes, zero_extend
 from subbandeq.verify import (
     CheckReport,
     _aggregate,
@@ -206,7 +206,7 @@ def _assert_pair_quadrature(base):
     """F and U of the base are those of its own pair, to rounding."""
     F, _ = pair_free_energy(base.pair, GRID, base.cfg.model, vext=external_potential(base.cfg))
     assert base.state.energy.total_direct == pytest.approx(F, rel=1e-12)
-    U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID)
+    U = solve_poisson(band_sum_density(band_densities(base.pair), zero_extend(base.pair.chi) ** 2), GRID)
     assert np.max(np.abs(base.state.U - U)) <= 1e-12 * np.max(np.abs(U))
 
 
@@ -278,7 +278,7 @@ class TestStateChecks:
 
     def test_mu_bound_uncoupled_closed_form(self):
         # flat single band: mu = lam1 + M/(2 pi A), bound = M/(pi A) + 2 lam1 + ...
-        from subbandeq.equilibrium import make_state
+        from subbandeq.equilibrium import make_state, occupy_modes
         from subbandeq.schrodinger import free_mode_eigenvalue, solve_slices
 
         g = Grid(10, 10, 32)
@@ -288,7 +288,8 @@ class TestStateChecks:
         A = g.lateral_area()
         mu = lam1 + M / (2 * np.pi * A)
         zero = np.zeros(g.volume_shape)
-        state = make_state(spec, mu, g, MODEL_T0, zero, U=zero)
+        rho_j, _ = occupy_modes(spec.lam, mu, zero_extend(spec.chi) ** 2, g, MODEL_T0)
+        state = make_state(spec, mu, rho_j, zero, g, MODEL_T0, zero)  # field decoupled
         r = check_mu_bound(state, MODEL_T0, M)
         assert r.passed
         hand_bound = 4.0 / M * (M**2 / (4 * np.pi * A) + lam1 * M)
