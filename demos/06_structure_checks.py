@@ -11,11 +11,14 @@ Four families of checks certify what the theory promises:
   (1 + mu) times the free-energy/mass offset of the perturbation.
 
 check_perturbation evaluates each perturbed pair once and returns the
-coercivity and stability-gap reports together.
+coercivity and stability-gap reports together.  check_weighted_l1 and
+check_perturbation rearrange the pair they are given into the order their
+inequalities cover (bands by increasing confined kinetic energy, occupations
+nonincreasing in the band index), so the random pairs and bumps go in unsorted.
 """
 
 from subbandeq import Grid, OccupancyModel, SolverConfig, solve_equilibrium
-from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
+from subbandeq.rearrange import RadialGrid
 from subbandeq.verify import (
     check_mu_bound,
     check_perturbation,
@@ -38,8 +41,7 @@ print(f"solved: mu = {state.mu:.6f}, F = {state.energy.total_direct:.6f}")
 print("\nWeighted band-index bound on 10 random energy-sorted pairs:")
 vgrid = RadialGrid.uniform(3.0, 96)
 for seed in range(10):
-    pair = rearrange_energy_increasing(random_test_pair(grid, 4, vgrid, seed), grid)
-    r = check_weighted_l1(pair, grid, model)
+    r = check_weighted_l1(random_test_pair(grid, 4, vgrid, seed), grid, model)
     print(
         f"  seed {seed}: sum j^2|f_j| = {r.lhs:9.4f}"
         f"  <= (3/pi^2) mixed = {r.details['middle']:9.4f}"

@@ -102,8 +102,8 @@ def solve_poisson(rho, grid: Grid) -> np.ndarray:
     Direct: A U = (node volumes) * rho holds to rounding.
     """
     S1, S2, V, inv = _spectral_factors(grid)
-    b = grid.node_volumes() * _volume_values(rho, grid)
-    coeffs = _transform(b, S1, S2, V) * inv
+    coeffs = _transform(grid.node_volumes() * _volume_values(rho, grid), S1, S2, V)
+    coeffs *= inv
     return _transform(coeffs, S1, S2, V.T)
 
 

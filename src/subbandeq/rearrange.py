@@ -165,15 +165,6 @@ def rearrange_occupation_decreasing(pair: AdmissiblePair) -> AdmissiblePair:
     return replace(pair, f=-np.sort(-pair.f, axis=2))
 
 
-def is_energy_sorted(pair: AdmissiblePair, grid: Grid) -> bool:
-    k = profile_kinetic_energy(pair.chi, grid)
-    return bool(np.all(np.diff(k, axis=2) >= 0.0))
-
-
-def is_occupation_sorted(pair: AdmissiblePair) -> bool:
-    return bool(np.all(np.diff(pair.f, axis=2) <= 0.0))
-
-
 def joint_band_densities(pair: AdmissiblePair, order: np.ndarray) -> np.ndarray:
     """Band densities when f and the modes are permuted jointly, shape (ny1, ny2, J).
 

@@ -41,8 +41,6 @@ from .rearrange import (
     RadialGrid,
     AdmissiblePair,
     band_densities,
-    is_energy_sorted,
-    is_occupation_sorted,
     joint_band_densities,
     occupation_sort_permutation,
     pair_casimir,
@@ -135,11 +133,10 @@ def _weighted_band_l1(rho_j: np.ndarray, grid: Grid) -> float:
 
 
 def check_weighted_l1(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -> CheckReport:
-    """Energy-sorted pairs: sum_j j^2 ||f_j|| <= (3/pi^2) sum int |dchi|^2 rho
-    <= (6/pi^2) F, each with 1e-6 relative slack.  Errors out if the pair is
-    not energy-sorted."""
-    if not is_energy_sorted(pair, grid):
-        raise ValueError("pair is not sorted by confined kinetic energy")
+    """sum_j j^2 ||f_j|| <= (3/pi^2) sum int |dchi|^2 rho <= (6/pi^2) F, each
+    with 1e-6 relative slack, evaluated on rearrange_energy_increasing(pair):
+    the bound holds for energy-sorted pairs, so any admissible pair is taken."""
+    pair = rearrange_energy_increasing(pair, grid)
     rho_j = band_densities(pair)
     lhs = _weighted_band_l1(rho_j, grid)
     mid = 6.0 / math.pi**2 * confined_kinetic(rho_j, pair.chi, grid)
@@ -327,7 +324,7 @@ def grid_consistent_base(state: EquilibriumState, cfg: SolverConfig) -> GridBase
 
 
 def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
-    """Clipped random occupation perturbation, sorted nonincreasing in j.
+    """Clipped random occupation perturbation of the base, in band order.
 
     At T = 0 the bump vanishes at speed nodes where any band of the base
     holds a fractional cell-averaged occupation, so the multiplier term of
@@ -351,8 +348,7 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
         fractional = np.any((f0 > 0.0) & (f0 < 1.0), axis=2, keepdims=True)
         g = np.where(fractional, 0.0, g)
     f = np.clip(base.pair.f + eps * g, 0.0, 1.0)
-    pert = AdmissiblePair(f=f, chi=base.pair.chi, vgrid=vgrid)
-    return rearrange_occupation_decreasing(pert)
+    return AdmissiblePair(f=f, chi=base.pair.chi, vgrid=vgrid)
 
 
 def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
@@ -381,11 +377,12 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
     Coercivity: the free-energy excess dominates the field gap plus the
     multiplier term, with slack 1e-6 * (1 + |LHS|) absolute.  Stability gap:
     (1 + mu) * delta, delta = |F(pert) - F| + mu |M(pert) - M|, dominates
-    half the squared field gradient gap.  pert must be orthonormal and
-    occupation-sorted (use rearrange_occupation_decreasing).
+    half the squared field gradient gap.  Both are evaluated on
+    rearrange_occupation_decreasing(pert), the occupation-sorted arrangement
+    the chain holds for, so pert may be in any band order; its modes must be
+    orthonormal.
     """
-    if not is_occupation_sorted(pert):
-        raise ValueError("perturbed pair must be occupation-sorted")
+    pert = rearrange_occupation_decreasing(pert)
     grid, model, state = base.cfg.grid, base.cfg.model, base.state
     check_orthonormal(pert.chi, grid)
     F_pert, U_pert = pair_free_energy(pert, grid, model, vext=external_potential(base.cfg))
@@ -575,8 +572,7 @@ def run_verification(
     ri_reports = []
     for i in range(n_pairs):
         pair = random_test_pair(grid, min(4, grid.nz - 1), vgrid, seed + i)
-        sorted_pair = rearrange_energy_increasing(pair, grid)
-        wl_reports.append(check_weighted_l1(sorted_pair, grid, model))
+        wl_reports.append(check_weighted_l1(pair, grid, model))
         ki_reports.append(check_kinetic_interpolation(pair, 2.0, grid))
         ri_reports.append(check_rearrangement_invariance(pair, grid, model))
     reports.append(_aggregate("weighted_l1", wl_reports))

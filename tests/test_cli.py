@@ -369,11 +369,14 @@ class TestSolve:
             ("solve", {"max_outer": None}, "config error: max_outer must be an integer"),
             # beyond the float range, so float() of it overflows
             ("solve", {"max_outer": 10**400}, "config error: max_outer must be an integer"),
+            ("solve", {"grid": 5}, "config error: section 'grid' must be an object"),
+            ("solve", {"max_outer": 0},
+             "config error: invalid configuration: max_outer must be at least 1"),
         ],
         ids=["nz", "max_outer", "n_pairs", "n_pairs_0", "n_perturbations_0",
              "M_target_true", "max_outer_true", "n_pairs_true",
              "M_target_string", "nz_string", "vext_kind_number", "max_outer_null",
-             "max_outer_400_digits"],
+             "max_outer_400_digits", "grid_not_object", "max_outer_0"],
     )
     def test_non_integral_key_exit_1(self, tmp_path, capsys, command, extra, message):
         cfg = write_config(tmp_path, {**FAST, **extra})
@@ -396,6 +399,12 @@ class TestSolve:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out), *args]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_top_level_array_exit_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_config(tmp_path, []), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
         assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):
@@ -576,6 +585,18 @@ class TestSweep:
         )
         assert rows.shape == (2, 5)
         assert rows[0, 0] == 0.0 and rows[1, 0] == 0.2
+
+    def test_nonconvergence_exit_2_without_output(self, tmp_path, capsys):
+        # the first value stops the sweep before any row is written
+        cfg = write_config(tmp_path, {
+            "grid": {"ny1": 6, "ny2": 6, "nz": 16}, "vext": {"kind": "zwell", "amplitude": 8.0},
+            "init": {"kind": "random", "seed": 1}, "max_outer": 1,
+        })
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--param", "M",
+                     "--values", "10,160"]) == 2
+        assert capsys.readouterr().err == "sweep value 10.0 did not converge\n"
+        assert not out.exists()
 
     def test_single_value_matches_solve(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

@@ -259,6 +259,14 @@ class TestSolveEquilibrium:
         with pytest.raises(ValueError, match="normalized"):
             dataclasses.replace(state, spectrum=spectrum).validate(cfg)
 
+    def test_validate_rejects_a_mass_miss(self):
+        cfg = SolverConfig(M_target=1.0, grid=Grid(6, 6, 16), fp_tol=1e-9)
+        state, trace = solve_equilibrium(cfg)
+        assert trace.converged
+        state.validate(cfg)
+        with pytest.raises(AssertionError, match="misses target 1.000001"):
+            state.validate(dataclasses.replace(cfg, M_target=1.000001))
+
     def test_initialization_independence(self):
         g = Grid(6, 6, 16)
         base = dict(M_target=1.0, grid=g, vext_kind="zwell", fp_tol=1e-11)

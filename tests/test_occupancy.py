@@ -254,6 +254,20 @@ class TestSolveMu:
                     ours, theirs = ours + len(calls), theirs + n_bisect
         assert ours < theirs
 
+    def test_saturating_mass_raises(self):
+        # a profile capped at 1 caps the mass at 2 pi J A, far below M: the
+        # doubling runs out without an upper end of the bracket
+        g = Grid(4, 4, 8)
+
+        class Capped:
+            def profile_g(self, a):
+                return np.clip(a, 0.0, 1.0)
+
+        lam = flat_levels(g, [1.0, 2.0])
+        assert subband_mass(1e300, lam, g, Capped()) < 1e3
+        with pytest.raises(RuntimeError, match="no mu reaches target mass M = 1000"):
+            solve_mu(1e3, lam, g, Capped())
+
     def test_errors(self):
         g = Grid(6, 6, 16)
         lam = flat_levels(g, [2.0])

@@ -238,6 +238,24 @@ class TestSolveSlices:
         solve_slices(W, J, g)
         assert sum(rows) == g.ny1 * g.ny2
 
+    def test_wrong_shape_rejected(self):
+        g = Grid(3, 4, 16)
+        for shape in ((4, 3, g.nz - 1), (3, 4, g.nz), (3, 4)):
+            with pytest.raises(ValueError, match="slice potential has wrong shape"):
+                solve_slices(np.zeros(shape), 2, g)
+
+    def test_validate_rejects_shape_and_band_order(self):
+        g = Grid(3, 4, 16)
+        spec = solve_slices(np.zeros((3, 4, g.nz - 1)), 3, g)
+        spec.validate(g)
+        for other in (Grid(4, 3, 16), Grid(3, 4, 24)):
+            with pytest.raises(ValueError, match="spectrum shape does not match grid"):
+                spec.validate(other)
+        for order in ([1, 0, 2], [0, 0, 1]):  # decreasing, then a repeated band
+            swapped = SubbandSpectrum(lam=spec.lam[..., order], chi=spec.chi[..., order, :])
+            with pytest.raises(ValueError, match="not strictly increasing"):
+                swapped.validate(g)
+
     def test_chi_closed_pads_zeros(self):
         g = Grid(2, 2, 16)
         spec = solve_slices(np.zeros((2, 2, g.nz - 1)), 2, g)

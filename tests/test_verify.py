@@ -113,13 +113,16 @@ class TestWeightedL1:
             r = check_weighted_l1(rearrange_energy_increasing(pair, GRID), GRID, MODEL_T0)
             assert r.passed
 
-    def test_unsorted_raises(self):
+    def test_unsorted_pair_gets_the_sorted_report(self):
+        # the bound holds for the energy-sorted arrangement, which the check
+        # forms itself: a band-reversed pair is reported as its rearrangement
         pair = rearrange_energy_increasing(random_test_pair(GRID, 3, VGRID, 2), GRID)
         reversed_pair = type(pair)(
             f=pair.f[:, :, ::-1, :], chi=pair.chi[:, :, ::-1, :], vgrid=pair.vgrid,
         )
-        with pytest.raises(ValueError):
-            check_weighted_l1(reversed_pair, GRID, MODEL_T0)
+        r = check_weighted_l1(reversed_pair, GRID, MODEL_T0)
+        assert r.passed
+        assert r.as_dict() == check_weighted_l1(pair, GRID, MODEL_T0).as_dict()
 
 
 class TestKineticInterpolation:
@@ -233,11 +236,14 @@ class TestCoercivity:
             assert r.passed
             assert r.lhs > 0.0
 
-    def test_unsorted_rejected(self, base):
-        pert = occupation_bump(base, 1e-1, seed=0)
-        broken = type(pert)(f=pert.f[:, :, ::-1, :], chi=pert.chi, vgrid=pert.vgrid)
-        with pytest.raises(ValueError):
-            check_perturbation(base, broken)
+    def test_unsorted_pert_gets_the_sorted_reports(self, base):
+        # the chain holds for the occupation-sorted arrangement, which the
+        # check forms itself: reversed occupations report as the sorted pert
+        pert = rearrange_occupation_decreasing(occupation_bump(base, 1e-1, seed=0))
+        reversed_pert = type(pert)(f=pert.f[:, :, ::-1, :], chi=pert.chi, vgrid=pert.vgrid)
+        reports = check_perturbation(base, reversed_pert)
+        assert all(r.passed for r in reports)
+        assert [r.as_dict() for r in reports] == [r.as_dict() for r in check_perturbation(base, pert)]
 
 
 class TestStabilityGap:
@@ -368,6 +374,11 @@ class TestRunVerification:
         (name,) = counts
         with pytest.raises(ValueError, match=name):
             run_verification(cfg, **counts)
+
+
+def test_ratio_of_a_positive_lhs_over_zero_is_inf():
+    assert verify._ratio(1e-300, 0.0) == math.inf
+    assert verify._ratio(0.0, 0.0) == 0.0
 
 
 class TestAggregate:
