@@ -38,10 +38,11 @@ casimir - (1/2) ||grad U||^2, guards every step: it is concave with
 gradient G(U) - U in the Dirichlet inner product, so the full step raises
 it whenever ||DG|| < 1, and F - D = (1/2) ||grad (G(U) - U)||^2 for the
 free energy F of the output state (F. Nier, Comm. PDE 18, 1993).  A trial
-that lowers D below its noise floor is rejected: an accelerated one clears
-the history, a damped one is retried with theta halved, and when a damped
-one at THETA_MIN fails too the solve stops unconverged.  F is nonincreasing
-on every measured solve, but nothing enforces that.  The loop stops at the
+that lowers D below its noise floor is rejected: an accelerated one starts
+a fresh history at the current cycle, a damped one is retried with theta
+halved, and when a damped one at THETA_MIN fails too the solve stops
+unconverged.  F is nonincreasing on every measured solve, but nothing
+enforces that.  The loop stops at the
 first cycle whose map residual ||G(U) - U|| / (1 + ||U||) meets the
 tolerance, so the certificate does not depend on theta; it runs for any
 object with the gap profiles of OccupancyModel (verify passes speed-grid
@@ -51,6 +52,8 @@ ones) and is deterministic, also across BLAS thread counts.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -152,9 +155,53 @@ def external_potential(cfg: SolverConfig) -> np.ndarray:
     return np.repeat(lat[:, :, None], g.nz + 1, axis=2)
 
 
+class SeededDraws:
+    """Seeded uniforms, integers and standard normals built on random.Random(seed).random() alone.
+
+    Python guarantees that random() gives the same sequence for the same seed
+    across versions; numpy's Generator streams may change between releases
+    (NEP 19), and importing numpy.random also loads OpenSSL through secrets
+    and hashlib.  Each value is scalar double arithmetic on the next u in
+    [0, 1) with math.log, math.sqrt, math.cos and math.sin, not numpy ufuncs,
+    whose SIMD paths can differ by an ulp between CPUs.  Draws follow call
+    order in one stream.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self.random = random.Random(seed).random
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integer(self, low: int, high: int) -> int:
+        """An integer in [low, high), capped at high - 1 in case u (high - low) rounds up."""
+        return min(low + math.floor(self.random() * (high - low)), high - 1)
+
+    def normals(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Standard normals in C order, by Box-Muller on 1 - u in (0, 1], whose log is finite.
+
+        Each pair of uniforms gives a cosine and a sine normal; an odd count
+        drops the last sine.
+        """
+        u, log, sqrt, cos, sin = self.random, math.log, math.sqrt, math.cos, math.sin
+        n = math.prod(shape)
+        out = []
+        for _ in range((n + 1) // 2):
+            r, t = sqrt(-2.0 * log(1.0 - u())), math.tau * u()
+            out += (r * cos(t), r * sin(t))
+        return np.array(out[:n], dtype=float).reshape(shape)
+
+
 def random_smooth_potential(grid: Grid, seed: int) -> np.ndarray:
-    """Low-mode random field satisfying both boundary conditions; seeded."""
-    rng = np.random.default_rng(seed)
+    """Low-mode random field satisfying both boundary conditions.
+
+    Its 12 coefficients are SeededDraws(seed) normals, so a seed gives the
+    same field whatever the Python or numpy release.
+    """
+    coeffs = iter(SeededDraws(seed).normals((12,)))
     y1 = grid.y1_nodes()[:, None, None] / grid.L1
     y2 = grid.y2_nodes()[None, :, None] / grid.L2
     z = grid.z_nodes()[None, None, :]
@@ -162,7 +209,7 @@ def random_smooth_potential(grid: Grid, seed: int) -> np.ndarray:
     for m in (1, 2):
         for n in (1, 2):
             for l in (0, 1, 2):
-                c = rng.standard_normal()
+                c = next(coeffs)
                 v += c * np.sin(m * np.pi * y1) * np.sin(n * np.pi * y2) * np.cos(l * np.pi * z)
     return 0.5 * v
 
@@ -354,33 +401,39 @@ class _Anderson:
     """Type II Anderson mixing over the last ANDERSON_DEPTH accepted steps.
 
     Holds the last accepted point (U, G(U)) and the steps dU_i and residual
-    differences df_i = f_{i+1} - f_i, f = G(U) - U, of accepted iterates.
-    Inner products carry the node volumes of the map residual's norm and are
-    plain numpy sums, whose order does not depend on BLAS threads.
+    differences df_i = f_{i+1} - f_i, f = G(U) - U, of accepted iterates,
+    with the Gram matrix H of the df_i, which gains one row and column per
+    accepted step; only push and step change the pairs and H, so a caller
+    that drops the history starts a new one.  Inner products carry the node
+    volumes of the map residual's norm and are plain numpy sums, whose order
+    does not depend on BLAS threads.
     """
 
     def __init__(self, grid: Grid, U: np.ndarray, G: np.ndarray):
         self.w = grid.node_volumes()
         self.U, self.G = U, G
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.H = np.empty((0, 0))
 
     def _inner(self, a, b) -> float:
         return float(np.sum(a * b * self.w))
 
+    def _drop_oldest(self) -> None:
+        del self.pairs[0]
+        self.H = self.H[1:, 1:]
+
     def step(self, theta: float) -> np.ndarray:
         """(1 - theta) U + theta G(U), less the least-squares combination of the history."""
         U, G = self.U, self.G
-        U_new = (1.0 - theta) * U + theta * G
-        H = np.array([[self._inner(p, q) for _, q in self.pairs] for _, p in self.pairs])
+        U_new = G.copy() if theta == 1.0 else (1.0 - theta) * U + theta * G
         while self.pairs:
-            ev = np.linalg.eigvalsh(H)
+            ev = np.linalg.eigvalsh(self.H)
             if ev[0] > ev[-1] / _GRAM_COND_MAX:
                 break
-            del self.pairs[0]
-            H = H[1:, 1:]
+            self._drop_oldest()
         if self.pairs:
             f = G - U
-            gamma = np.linalg.solve(H, [self._inner(df, f) for _, df in self.pairs])
+            gamma = np.linalg.solve(self.H, [self._inner(df, f) for _, df in self.pairs])
             for g, (dU, df) in zip(gamma, self.pairs):
                 U_new -= g * dU
                 U_new -= (g * theta) * df
@@ -391,8 +444,16 @@ class _Anderson:
         dU = U - self.U
         df = G - self.G
         df -= dU
+        if len(self.pairs) == ANDERSON_DEPTH:
+            self._drop_oldest()
+        # a * b and b * a are the same doubles, so H stays symmetric bit for bit
+        row = [self._inner(df, q) for _, q in self.pairs] + [self._inner(df, df)]
+        n = len(self.pairs)
+        H = np.empty((n + 1, n + 1))
+        H[:n, :n] = self.H
+        H[n, :] = H[:, n] = row
         self.pairs.append((dU, df))
-        del self.pairs[:-ANDERSON_DEPTH]
+        self.H = H
         self.U, self.G = U, G
 
 
@@ -453,10 +514,8 @@ def fixed_point(
         nxt = _evaluate_cycle(trial, J, cfg, vext, cyc.state)
         if nxt.dual < cyc.dual - ENERGY_NOISE_REL * (1.0 + abs(cyc.dual)):
             trace.rejected_trials += 1
-            if history is None:
+            if history is None or history.pairs:
                 history = _Anderson(grid, cyc.U_in, cyc.state.U)
-            elif history.pairs:
-                history.pairs.clear()
             elif theta > THETA_MIN:
                 theta *= 0.5
             else:

@@ -2,8 +2,10 @@
 
 Assertions only use constants the theory states explicitly (3/pi^2, 6/pi^2,
 4/M, 1/2, 1 + mu); bounds with unspecified constants are monitored as
-ratio families instead of asserted.  All randomized inputs come from a
-seeded generator, so every report is reproducible.
+ratio families instead of asserted.  All randomized inputs come from
+equilibrium.SeededDraws, a stream on random.Random(seed).random(), whose
+sequence Python guarantees across versions (numpy's Generator streams may
+change between releases, NEP 19), so every report is reproducible.
 
 check_perturbation evaluates a perturbed pair once and reports both
 coercivity and the stability gap against a base pair that is re-converged
@@ -26,6 +28,7 @@ import numpy as np
 
 from .equilibrium import (
     EquilibriumState,
+    SeededDraws,
     SolverConfig,
     NonConvergence,
     external_potential,
@@ -96,9 +99,9 @@ def random_test_pair(
     """
     if not 1 <= J <= grid.nz - 1:
         raise ValueError(f"J = {J} modes need 1 <= J <= nz - 1 = {grid.nz - 1}")
-    rng = np.random.default_rng(seed)
+    draws = SeededDraws(seed)
     ny1, ny2 = grid.lateral_shape
-    q, _ = np.linalg.qr(rng.standard_normal((ny1, ny2, J, J)))
+    q, _ = np.linalg.qr(draws.normals((ny1, ny2, J, J)))
     chi = q @ sine_modes(J, grid)
     r = vgrid.r
     taper = np.clip(1.0 - (r / r[-1]) ** 2, 0.0, 1.0)
@@ -106,11 +109,11 @@ def random_test_pair(
     y2 = grid.y2_nodes()[None, :] / grid.L2
     f = np.empty((ny1, ny2, J, vgrid.n_nodes))
     for j in range(J):
-        amp = rng.uniform(0.2, 1.0) / (1 + j)
-        r0 = rng.uniform(0.0, 0.6 * r[-1])
-        width = rng.uniform(0.2, 0.6) * r[-1]
-        lateral = np.sin(np.pi * y1 * rng.integers(1, 3)) * np.sin(
-            np.pi * y2 * rng.integers(1, 3)
+        amp = draws.uniform(0.2, 1.0) / (1 + j)
+        r0 = draws.uniform(0.0, 0.6 * r[-1])
+        width = draws.uniform(0.2, 0.6) * r[-1]
+        lateral = np.sin(np.pi * y1 * draws.integer(1, 3)) * np.sin(
+            np.pi * y2 * draws.integer(1, 3)
         )
         radial = np.exp(-((r - r0) ** 2) / (2 * width**2)) * taper
         f[:, :, j, :] = amp * np.abs(lateral)[..., None] * radial[None, None, :]
@@ -330,19 +333,19 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
     holds a fractional cell-averaged occupation, so the multiplier term of
     the stability chain keeps its exact sign structure node by node.
     """
-    rng = np.random.default_rng(seed)
+    draws = SeededDraws(seed)
     grid, vgrid = base.cfg.grid, base.pair.vgrid
     r = vgrid.r
     y1 = grid.y1_nodes()[:, None] / grid.L1
     y2 = grid.y2_nodes()[None, :] / grid.L2
     g = np.zeros_like(base.pair.f)
     for j in range(base.pair.J):
-        r0 = rng.uniform(0.1, 0.8) * r[-1]
-        width = rng.uniform(0.1, 0.3) * r[-1]
+        r0 = draws.uniform(0.1, 0.8) * r[-1]
+        width = draws.uniform(0.1, 0.3) * r[-1]
         radial = np.exp(-((r - r0) ** 2) / (2 * width**2))
-        m1, m2 = rng.integers(1, 4), rng.integers(1, 4)
+        m1, m2 = draws.integer(1, 4), draws.integer(1, 4)
         lateral = np.sin(m1 * np.pi * y1) * np.sin(m2 * np.pi * y2)
-        g[:, :, j, :] = rng.uniform(-1.0, 1.0) * lateral[..., None] * radial
+        g[:, :, j, :] = draws.uniform(-1.0, 1.0) * lateral[..., None] * radial
     if base.cfg.model.T == 0.0:
         f0 = base.pair.f
         fractional = np.any((f0 > 0.0) & (f0 < 1.0), axis=2, keepdims=True)

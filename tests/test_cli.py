@@ -55,6 +55,22 @@ def test_import_does_not_load_scipy():
     assert res.stdout.strip() == "False"
 
 
+def test_seeded_commands_load_no_rng_or_crypto_stack(tmp_path):
+    # numpy.random imports secrets -> hmac -> hashlib -> _hashlib (OpenSSL)
+    cfg = write_config(tmp_path, {**FAST, "init": {"kind": "random", "seed": 1},
+                                  "verify": {"n_pairs": 2, "n_perturbations": 2}})
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from subbandeq.cli import main\n"
+        "runs = (['sweep', '--param', 'M', '--values', '0.5,1'],\n"
+        "        ['verify', '--seed', '99999999999999999999'])\n"
+        f"rcs = [main(argv + ['--config', {cfg!r}, '--out', {out!r}]) for argv in runs]\n"
+        "print(rcs, sorted({'numpy.random', 'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    assert run_python(code).stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_runtime_without_scipy(tmp_path):
     # None in sys.modules makes every "import scipy..." raise ImportError.
     cfg = write_config(tmp_path, {**FAST, "verify": {"n_pairs": 2, "n_perturbations": 2}})

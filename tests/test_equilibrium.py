@@ -9,6 +9,7 @@ import pytest
 
 import subbandeq
 from subbandeq.equilibrium import (
+    SeededDraws,
     SolverConfig,
     external_potential,
     fixed_point,
@@ -442,6 +443,41 @@ class TestSolveEquilibrium:
         assert np.all(np.diff(duals) >= 0.0)
         assert all(t == eq.THETA_START for t in trace.thetas)
 
+    def test_rejection_with_a_full_history_restarts_it(self, monkeypatch):
+        # the dual counts evaluations, except that the accelerated trial made
+        # with ANDERSON_DEPTH pairs lowers it: evaluation 0 is the start, 1
+        # the predicted step (which stops prediction on U - tanh(U)), and the
+        # Anderson step after accepted evaluation 1 + k uses k pairs.  A
+        # nonuniform start keeps the df_i independent, so no pair is dropped
+        import subbandeq.equilibrium as eq
+
+        g = Grid(4, 4, 8)
+        log, held = [], []
+        reject_at = 2 + eq.ANDERSON_DEPTH
+
+        def dual(U):
+            return -1e9 if len(log) == reject_at else float(len(log))
+
+        step = eq._Anderson.step
+
+        def recording_step(self, theta):
+            U_new = step(self, theta)
+            held.append(len(self.pairs))
+            return U_new
+
+        _patch_map(monkeypatch, g, lambda U: U - np.tanh(U), dual, log)
+        monkeypatch.setattr(eq._Anderson, "step", recording_step)
+        cfg = SolverConfig(M_target=1.0, grid=g, fp_tol=1e-10, max_outer=100)
+        U0 = np.linspace(2.0, 3.0, np.prod(g.volume_shape)).reshape(g.volume_shape)
+        _, trace = eq.fixed_point(U0, cfg)
+        assert trace.converged and trace.rejected_trials == 1
+        assert held[: reject_at] == list(range(eq.ANDERSON_DEPTH + 1)) + [0]
+        # the trial after the rejection is the plain step from the last
+        # accepted iterate, and its acceptance starts the new history
+        U_cur = log[reject_at - 1][0]
+        assert np.array_equal(log[reject_at + 1][0], U_cur - np.tanh(U_cur))
+        assert held[reject_at] == 1
+
     @pytest.mark.parametrize("T", [0.0, 0.2])
     def test_real_map_ascends_the_dual_below_the_free_energy(self, monkeypatch, T):
         # random-start solves of the real map: no accepted step, predicted or
@@ -696,3 +732,69 @@ class TestExternalPotential:
         for tol in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SolverConfig(fp_tol=tol)
+
+
+class TestSeededDraws:
+    # Every seeded output rests on this stream, so any change to it must fail here.
+    @pytest.mark.parametrize(
+        "seed, uniforms, integers, normals",
+        [
+            (0, [0.6888437030500962, 0.515908805880605, -0.15885683833831], [2, 5, 4, 7],
+             [-0.8410232534781072, 0.12456794846508412, 1.108828735436829]),
+            (10**20, [-0.9636099420240227, 0.08349097740945188, 0.17577236051466083], [7, 7, 7, 7],
+             [0.3836405980907533, -1.914591412688204, -0.05209849038055347]),
+        ],
+        ids=["0", "1e20"],
+    )
+    def test_stream_pinned(self, seed, uniforms, integers, normals):
+        draws = SeededDraws(seed)
+        assert [draws.uniform(-1.0, 1.0) for _ in range(3)] == uniforms
+        assert [draws.integer(0, 10) for _ in range(4)] == integers
+        assert draws.normals((3,)).tolist() == normals
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
+    def test_extreme_uniforms(self, u):
+        draws = SeededDraws(0)
+        draws.random = lambda: u
+        for low, high in ((1, 3), (1, 4), (-5, 7), (0, 2**60 + 3)):
+            assert low <= draws.integer(low, high) < high
+        # Box-Muller takes the log of 1 - u, never of 0
+        assert np.all(np.isfinite(draws.normals((2,))))
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # random.Random would take |seed| and give -1 the stream of 1, and
+        # would hash a float seed
+        with pytest.raises(ValueError):
+            SeededDraws(-1)
+        with pytest.raises(TypeError):
+            SeededDraws(1.5)
+        assert SeededDraws(np.int64(7)).random() == SeededDraws(7).random()
+
+
+def test_anderson_gram_matches_a_full_rebuild():
+    # H gains one row per push; it must equal the Gram matrix of the kept df_i
+    # bit for bit, also after a push past ANDERSON_DEPTH and after step drops
+    # the oldest pair of a singular H
+    import subbandeq.equilibrium as eq
+
+    g = Grid(5, 5, 8)
+    rng = np.random.default_rng(3)
+    hist = eq._Anderson(g, *rng.standard_normal((2, *g.volume_shape)))
+
+    def check():
+        H = [[hist._inner(p, q) for _, q in hist.pairs] for _, p in hist.pairs]
+        assert np.array_equal(hist.H, np.array(H).reshape(len(H), len(H)))
+
+    for _ in range(eq.ANDERSON_DEPTH + 2):
+        hist.push(*rng.standard_normal((2, *g.volume_shape)))
+        check()
+        hist.step(0.5)
+        check()
+    # a step on which G moves as U does has df = 0 up to rounding: H is
+    # singular, and step drops the older pairs, leaving only that one
+    d = rng.standard_normal(g.volume_shape)
+    hist.push(hist.U + d, hist.G + d)
+    check()
+    hist.step(1.0)
+    check()
+    assert len(hist.pairs) == 1

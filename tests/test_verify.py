@@ -6,6 +6,7 @@ import pytest
 import subbandeq.verify as verify
 from subbandeq.equilibrium import (
     NonConvergence,
+    SeededDraws,
     SolverConfig,
     external_potential,
     solve_equilibrium,
@@ -71,11 +72,11 @@ class TestRandomTestPair:
     @pytest.mark.parametrize("seed", [42, 51])
     def test_modes_match_per_slice_qr_loop(self, seed):
         # reference: one draw and one QR per slice, in C order over the slices
-        rng = np.random.default_rng(seed)
+        draws = SeededDraws(seed)
         chi = np.empty((*GRID.lateral_shape, 4, GRID.nz - 1))
         for i in range(GRID.ny1):
             for k in range(GRID.ny2):
-                q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+                q, _ = np.linalg.qr(draws.normals((4, 4)))
                 chi[i, k] = q @ sine_modes(4, GRID)
         assert np.array_equal(random_test_pair(GRID, 4, VGRID, seed).chi, chi)
 
