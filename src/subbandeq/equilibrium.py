@@ -133,7 +133,7 @@ class SolverConfig:
             raise ValueError(f"unknown external potential kind {self.vext_kind!r}")
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"unknown initial potential kind {self.init_kind!r}")
-        if self.init_seed < 0:
+        if operator.index(self.init_seed) < 0:
             raise ValueError(f"initial potential seed must be non-negative, got {self.init_seed}")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from dataclasses import replace as dc_replace
 
@@ -159,52 +160,44 @@ def check_weighted_l1(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -
 # ---- kinetic interpolation (monitor) -------------------------------------------
 
 
-def check_kinetic_interpolation(pair: AdmissiblePair, s: float, grid: Grid) -> CheckReport:
-    """Ratio monitor for the density interpolation bound at exponent s in [1, 3).
+# Exponent s of the interpolation monitor; its density norm is L^q, q = (5s - 3)/(3s - 1) = 7/5.
+KINETIC_EXPONENT = 2.0
+
+
+def check_kinetic_interpolation(pair: AdmissiblePair, grid: Grid) -> CheckReport:
+    """Ratio monitor for the density interpolation bound at s = KINETIC_EXPONENT.
 
     The constant is unspecified, so only finiteness is asserted here; the
-    explicit Holder step in the band index is asserted with its exact
-    constant (1e-9 relative slack).  At s = 1 the bound collapses to
-    ||rho||_1 = mass, asserted.
+    explicit Holder step in the band index, sum_j ||f_j||_s <=
+    (sum_j j^(-2/(s-1)))^((s-1)/s) (sum_j j^2 ||f_j||_1)^(1/s), is asserted
+    with its exact constant (1e-9 relative slack).
     """
-    if not 1.0 <= s < 3.0:
-        raise ValueError("exponent must lie in [1, 3)")
+    s = KINETIC_EXPONENT
     q = (5.0 * s - 3.0) / (3.0 * s - 1.0)
     rho_j = band_densities(pair)
     rho = band_sum_density(rho_j, zero_extend(pair.chi) ** 2)
     lhs = float(np.sum(rho**q * grid.node_volumes()) ** (1.0 / q))
     fs = np.einsum("abjv,v->j", pair.f**s, pair.vgrid.weights) * (grid.hy1 * grid.hy2)
-    fs_norms = fs ** (1.0 / s)
+    holder_lhs = float(np.sum(fs ** (1.0 / s)))
     vel2 = 2.0 * velocity_kinetic(pair, grid)
     kin_mix = 2.0 * confined_kinetic(rho_j, pair.chi, grid)
     e1 = 2.0 * s / (5.0 * s - 3.0)
     e2 = 2.0 * (s - 1.0) / (5.0 * s - 3.0)
     e3 = (s - 1.0) / (5.0 * s - 3.0)
-    rhs = float(np.sum(fs_norms)) ** e1 * vel2**e2 * kin_mix**e3
+    rhs = holder_lhs**e1 * vel2**e2 * kin_mix**e3
     ratio = _ratio(lhs, rhs)
-    passed = math.isfinite(ratio)
-    details: dict = {}
-    if s == 1.0:
-        mass = pair_mass(pair, grid)
-        details["mass_identity_error"] = abs(lhs - mass)
-        passed = passed and abs(lhs - mass) <= 1e-12 * max(1.0, mass)
-    else:
-        j_arr = np.arange(1, pair.J + 1, dtype=float)
-        holder_lhs = float(np.sum(fs_norms))
-        holder_rhs = float(
-            np.sum(j_arr ** (-2.0 / (s - 1.0))) ** ((s - 1.0) / s)
-            * _weighted_band_l1(rho_j, grid) ** (1.0 / s)
-        )
-        details["holder_lhs"] = holder_lhs
-        details["holder_rhs"] = holder_rhs
-        passed = passed and holder_lhs <= holder_rhs * (1.0 + 1e-9)
+    j_arr = np.arange(1, pair.J + 1, dtype=float)
+    holder_rhs = float(
+        np.sum(j_arr ** (-2.0 / (s - 1.0))) ** ((s - 1.0) / s)
+        * _weighted_band_l1(rho_j, grid) ** (1.0 / s)
+    )
     return CheckReport(
         name=f"kinetic_interpolation_s{s:g}",
-        passed=passed,
+        passed=math.isfinite(ratio) and holder_lhs <= holder_rhs * (1.0 + 1e-9),
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
-        details=details,
+        details={"holder_lhs": holder_lhs, "holder_rhs": holder_rhs},
     )
 
 
@@ -506,24 +499,23 @@ def check_rearrangement_invariance(
     with the mode it traveled with.  Errors are absolute, against
     1e-12 * max(1, mass).
     """
-    rho_j, chi2 = band_densities(pair), zero_extend(pair.chi) ** 2
-    mass = pair_mass(pair, grid)
-    casimir = pair_casimir(pair, grid, model)
-    rho = band_sum_density(rho_j, chi2)
-    qkin = confined_kinetic(rho_j, pair.chi, grid)
-    energy = velocity_kinetic(pair, grid) + qkin + model.T * casimir
+
+    def invariants(p: AdmissiblePair):
+        rho_j, chi2 = band_densities(p), zero_extend(p.chi) ** 2
+        casimir = pair_casimir(p, grid, model)
+        qkin = confined_kinetic(rho_j, p.chi, grid)
+        energy = velocity_kinetic(p, grid) + qkin + model.T * casimir
+        return pair_mass(p, grid), casimir, band_sum_density(rho_j, chi2), energy, qkin, chi2
+
+    mass, casimir, rho, energy, qkin, chi2 = invariants(pair)
     up = rearrange_energy_increasing(pair, grid)
-    rho_j_up, chi2_up = band_densities(up), zero_extend(up.chi) ** 2
-    casimir_up = pair_casimir(up, grid, model)
-    energy_up = (
-        velocity_kinetic(up, grid) + confined_kinetic(rho_j_up, up.chi, grid) + model.T * casimir_up
-    )
+    mass_up, casimir_up, rho_up, energy_up, *_ = invariants(up)
     down = rearrange_occupation_decreasing(pair)
     rho_joint = joint_band_densities(pair, occupation_sort_permutation(pair))
     errs = {
-        "mass_up": abs(pair_mass(up, grid) - mass),
+        "mass_up": abs(mass_up - mass),
         "casimir_up": abs(casimir_up - casimir),
-        "density_up": float(np.max(np.abs(band_sum_density(rho_j_up, chi2_up) - rho))),
+        "density_up": float(np.max(np.abs(rho_up - rho))),
         "energy_up": abs(energy_up - energy),
         "mass_down": abs(pair_mass(down, grid) - mass),
         "casimir_down": abs(pair_casimir(down, grid, model) - casimir),
@@ -554,7 +546,7 @@ def run_verification(
     n_perturbations: int = 12,
 ) -> list[CheckReport]:
     """Solve, then run every check; returns one report per check family."""
-    if seed < 0:
+    if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     for name, n in (("n_pairs", n_pairs), ("n_perturbations", n_perturbations)):
         if n < 1:
@@ -576,7 +568,7 @@ def run_verification(
     for i in range(n_pairs):
         pair = random_test_pair(grid, min(4, grid.nz - 1), vgrid, seed + i)
         wl_reports.append(check_weighted_l1(pair, grid, model))
-        ki_reports.append(check_kinetic_interpolation(pair, 2.0, grid))
+        ki_reports.append(check_kinetic_interpolation(pair, grid))
         ri_reports.append(check_rearrangement_invariance(pair, grid, model))
     reports.append(_aggregate("weighted_l1", wl_reports))
     ratios = [r.ratio for r in ki_reports if r.ratio > 0.0]
@@ -588,7 +580,7 @@ def run_verification(
             lhs=max(ratios) if ratios else 0.0,
             rhs=min(ratios) if ratios else 0.0,
             ratio=spread,
-            details={"n_pairs": len(ki_reports), "exponent": 2.0},
+            details={"n_pairs": len(ki_reports), "exponent": KINETIC_EXPONENT},
         )
     )
     reports.append(_aggregate("rearrangement_invariance", ri_reports))

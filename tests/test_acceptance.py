@@ -22,8 +22,11 @@ import subbandeq.occupancy as occupancy
 from subbandeq.occupancy import OccupancyModel, solve_mu, subband_mass
 from subbandeq.poisson import dirichlet_energy, potential_pairing, solve_poisson
 from subbandeq.rearrange import RadialGrid, rearrange_energy_increasing
-from subbandeq.schrodinger import free_mode_eigenvalue, solve_slice
-from subbandeq.validation import manufactured_poisson_case
+from subbandeq.validation import (
+    eigensolver_study,
+    manufactured_poisson_case,
+    poisson_convergence_study,
+)
 from subbandeq.verify import (
     check_mu_bound,
     check_perturbation,
@@ -87,33 +90,21 @@ def small_bases():
 
 
 def test_criterion_01_eigensolver_exactness():
-    grid = Grid(2, 2, 200)
-    lam, _ = solve_slice(np.zeros(grid.nz - 1), 10, grid)
-    exact = free_mode_eigenvalue(np.arange(1, 11), grid)
-    rel = float(np.max(np.abs(lam - exact) / exact))
-    continuum = abs(lam[0] - np.pi**2 / 2.0)
+    study = eigensolver_study()
     report(
         1,
         "eigensolver exactness",
-        rel <= 1e-12 and continuum <= 5e-4,
-        f"max rel err {rel:.2e}, continuum err {continuum:.2e}",
+        study["pass"],
+        f"max rel err {study['max_relative_error']:.2e}, "
+        f"continuum err {study['continuum_error_mode1']:.2e}",
     )
 
 
 def test_criterion_02_poisson_convergence():
-    errors = []
-    for n in (16, 32, 64):
-        grid, u_star, rho = manufactured_poisson_case(n)
-        U = solve_poisson(rho, grid)
-        errors.append(float(np.max(np.abs(U - u_star))))
-    r1 = errors[0] / errors[1]
-    r2 = errors[1] / errors[2]
-    report(
-        2,
-        "poisson manufactured convergence",
-        3.5 <= r1 <= 4.5 and 3.5 <= r2 <= 4.5,
-        f"ratios {r1:.3f}, {r2:.3f}",
-    )
+    # the study also bounds each solve's weak-form defect by 1e-8
+    study = poisson_convergence_study()
+    r1, r2 = study["error_ratios"]
+    report(2, "poisson manufactured convergence", study["pass"], f"ratios {r1:.3f}, {r2:.3f}")
 
 
 def test_criterion_03_weak_form_identity(big_solves):

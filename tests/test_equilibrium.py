@@ -726,6 +726,10 @@ class TestExternalPotential:
             SolverConfig(init_kind="supplied")
         with pytest.raises(ValueError):
             SolverConfig(init_kind="random", init_seed=-3)
+        # a float seed would reach random.Random only at the solve's first draw
+        with pytest.raises(TypeError):
+            SolverConfig(init_kind="random", init_seed=1.5)
+        assert SolverConfig(init_kind="random", init_seed=np.int64(3)).init_seed == 3
         for amplitude in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 SolverConfig(vext_kind="zwell", vext_amplitude=amplitude)
