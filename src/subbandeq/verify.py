@@ -48,14 +48,15 @@ from .rearrange import (
     joint_band_densities,
     occupation_sort_permutation,
     pair_casimir,
+    pair_confined_kinetic,
     pair_free_energy,
     pair_mass,
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
     velocity_kinetic,
 )
-from .schrodinger import band_sum_density, confined_kinetic, sine_modes, solve_slices  # noqa: F401
-from .schrodinger import check_orthonormal, zero_extend
+from .schrodinger import band_sum_density, sine_modes, solve_slices  # noqa: F401
+from .schrodinger import check_orthonormal, profile_kinetic_energy, zero_extend
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def random_test_pair(
         )
         radial = np.exp(-((r - r0) ** 2) / (2 * width**2)) * taper
         f[:, :, j, :] = amp * np.abs(lateral)[..., None] * radial[None, None, :]
-    return AdmissiblePair(f=np.clip(f, 0.0, 1.0), chi=chi, vgrid=vgrid)
+    k = profile_kinetic_energy(chi, grid)
+    return AdmissiblePair(f=np.clip(f, 0.0, 1.0), chi=chi, vgrid=vgrid, k=k)
 
 
 def speed_grid_for(mu: float, lam_min: float) -> RadialGrid:
@@ -143,7 +145,7 @@ def check_weighted_l1(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -
     pair = rearrange_energy_increasing(pair, grid)
     rho_j = band_densities(pair)
     lhs = _weighted_band_l1(rho_j, grid)
-    mid = 6.0 / math.pi**2 * confined_kinetic(rho_j, pair.chi, grid)
+    mid = 6.0 / math.pi**2 * pair_confined_kinetic(pair, rho_j, grid)
     F, _ = pair_free_energy(pair, grid, model)
     rhs = float(6.0 / math.pi**2 * F)
     ok = lhs <= mid * (1.0 + 1e-6) and mid <= rhs * (1.0 + 1e-6)
@@ -180,7 +182,7 @@ def check_kinetic_interpolation(pair: AdmissiblePair, grid: Grid) -> CheckReport
     fs = np.einsum("abjv,v->j", pair.f**s, pair.vgrid.weights) * (grid.hy1 * grid.hy2)
     holder_lhs = float(np.sum(fs ** (1.0 / s)))
     vel2 = 2.0 * velocity_kinetic(pair, grid)
-    kin_mix = 2.0 * confined_kinetic(rho_j, pair.chi, grid)
+    kin_mix = 2.0 * pair_confined_kinetic(pair, rho_j, grid)
     e1 = 2.0 * s / (5.0 * s - 3.0)
     e2 = 2.0 * (s - 1.0) / (5.0 * s - 3.0)
     e3 = (s - 1.0) / (5.0 * s - 3.0)
@@ -212,12 +214,17 @@ class GridBase:
     is the equilibrium re-solved with speed-grid profiles.  pair carries
     its ansatz occupations sampled on the speed grid and its modes, so
     state.U is the potential of the pair's own (grid-quadrature) density
-    and state.energy.total_direct the pair's free energy.
+    and state.energy.total_direct the pair's free energy.  check_perturbation
+    takes from the base alone its weight |v|^2/2 + lambda_j(y) + T beta'(f_j(y, v)),
+    the pair's mass and V_ext, formed once here.
     """
 
     cfg: SolverConfig
     state: EquilibriumState
     pair: AdmissiblePair
+    weight: np.ndarray
+    mass: float
+    vext: np.ndarray
 
 
 def _base_occupations(
@@ -312,8 +319,11 @@ def grid_consistent_base(state: EquilibriumState, cfg: SolverConfig) -> GridBase
             f"grid-consistent base did not re-converge to {_BASE_FP_TOL:g} "
             f"in {_BASE_MAX_STEPS} steps"
         )
-    f = _base_occupations(cfg.model, base.mu - base.spectrum.lam, vgrid)
-    return GridBase(cfg, base, AdmissiblePair(f=f, chi=base.spectrum.chi, vgrid=vgrid))
+    lam, chi = base.spectrum.lam, base.spectrum.chi
+    f = _base_occupations(cfg.model, base.mu - lam, vgrid)
+    pair = AdmissiblePair(f=f, chi=chi, vgrid=vgrid, k=profile_kinetic_energy(chi, cfg.grid))
+    weight = 0.5 * vgrid.r**2 + lam[..., None] + cfg.model.T * cfg.model.beta_prime(f)
+    return GridBase(cfg, base, pair, weight, pair_mass(pair, cfg.grid), external_potential(cfg))
 
 
 # ---- perturbation families ------------------------------------------------------
@@ -344,7 +354,7 @@ def occupation_bump(base: GridBase, eps: float, seed: int) -> AdmissiblePair:
         fractional = np.any((f0 > 0.0) & (f0 < 1.0), axis=2, keepdims=True)
         g = np.where(fractional, 0.0, g)
     f = np.clip(base.pair.f + eps * g, 0.0, 1.0)
-    return AdmissiblePair(f=f, chi=base.pair.chi, vgrid=vgrid)
+    return AdmissiblePair(f=f, chi=base.pair.chi, vgrid=vgrid, k=base.pair.k)
 
 
 def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
@@ -358,13 +368,6 @@ def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
 
 
 # ---- coercivity and stability ----------------------------------------------------
-
-
-def _entropy_weight(base: GridBase) -> np.ndarray:
-    """w(y, v, j) = |v|^2/2 + lambda_j(y) + T beta'(f_j(y, v)) for the base."""
-    u = 0.5 * base.pair.vgrid.r**2
-    slope = base.cfg.model.T * base.cfg.model.beta_prime(base.pair.f)
-    return u[None, None, None, :] + base.state.spectrum.lam[..., None] + slope
 
 
 def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckReport, CheckReport]:
@@ -381,12 +384,11 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
     pert = rearrange_occupation_decreasing(pert)
     grid, model, state = base.cfg.grid, base.cfg.model, base.state
     check_orthonormal(pert.chi, grid)
-    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=external_potential(base.cfg))
+    F_pert, U_pert = pair_free_energy(pert, grid, model, vext=base.vext)
     gap = 0.5 * dirichlet_energy(U_pert - state.U, grid)
     lhs = F_pert - state.energy.total_direct
-    w = _entropy_weight(base)
     wsum = np.einsum(
-        "abjv,abjv,v->", w, pert.f - base.pair.f, base.pair.vgrid.weights
+        "abjv,abjv,v->", base.weight, pert.f - base.pair.f, base.pair.vgrid.weights
     ) * grid.hy1 * grid.hy2
     rhs = gap + float(wsum)
     tol = 1e-6 * (1.0 + abs(lhs))
@@ -398,7 +400,7 @@ def check_perturbation(base: GridBase, pert: AdmissiblePair) -> tuple[CheckRepor
         ratio=_ratio(rhs, lhs),
         details={"field_gap": float(gap), "multiplier_term": float(wsum)},
     )
-    delta = abs(lhs) + state.mu * abs(pair_mass(pert, grid) - pair_mass(base.pair, grid))
+    delta = abs(lhs) + state.mu * abs(pair_mass(pert, grid) - base.mass)
     bound = (1.0 + state.mu) * delta
     stability = CheckReport(
         name="stability_gap",
@@ -503,13 +505,14 @@ def check_rearrangement_invariance(
     def invariants(p: AdmissiblePair):
         rho_j, chi2 = band_densities(p), zero_extend(p.chi) ** 2
         casimir = pair_casimir(p, grid, model)
-        qkin = confined_kinetic(rho_j, p.chi, grid)
+        qkin = pair_confined_kinetic(p, rho_j, grid)
         energy = velocity_kinetic(p, grid) + qkin + model.T * casimir
         return pair_mass(p, grid), casimir, band_sum_density(rho_j, chi2), energy, qkin, chi2
 
     mass, casimir, rho, energy, qkin, chi2 = invariants(pair)
     up = rearrange_energy_increasing(pair, grid)
     mass_up, casimir_up, rho_up, energy_up, *_ = invariants(up)
+    again = rearrange_energy_increasing(dc_replace(up, k=None), grid)  # by the written modes
     down = rearrange_occupation_decreasing(pair)
     rho_joint = joint_band_densities(pair, occupation_sort_permutation(pair))
     errs = {
@@ -520,8 +523,8 @@ def check_rearrangement_invariance(
         "mass_down": abs(pair_mass(down, grid) - mass),
         "casimir_down": abs(pair_casimir(down, grid, model) - casimir),
         "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, chi2) - rho))),
-        "energy_down_joint": abs(confined_kinetic(rho_joint, pair.chi, grid) - qkin),
-        "idempotent_up": float(np.max(np.abs(rearrange_energy_increasing(up, grid).chi - up.chi))),
+        "energy_down_joint": abs(pair_confined_kinetic(pair, rho_joint, grid) - qkin),
+        "idempotent_up": float(np.max(np.abs(again.chi - up.chi))),
         "idempotent_down": float(np.max(np.abs(rearrange_occupation_decreasing(down).f - down.f))),
     }
     worst = max(errs.values())

@@ -66,6 +66,12 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid.uniform(0.0, 10)
 
+    @pytest.mark.parametrize("v_max", [np.inf, np.nan])
+    def test_non_finite_v_max_rejected(self, v_max):
+        # an infinite v_max would give nodes [nan, inf, ...] and a RuntimeWarning
+        with pytest.raises(ValueError, match="finite positive v_max"):
+            RadialGrid.uniform(v_max, 4)
+
 
 class TestPairValidation:
     def test_occupations_out_of_range(self):
@@ -85,6 +91,25 @@ class TestPairValidation:
         for f, chi, message in cases:
             with pytest.raises(ValueError, match=message):
                 AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        vgrid = RadialGrid.uniform(1.0, 4)
+        f, chi = np.full((2, 2, 1, 5), 0.5), np.ones((2, 2, 1, 3))
+        AdmissiblePair(f=f, chi=chi, vgrid=vgrid)
+        f_bad, chi_bad = f.copy(), chi.copy()
+        f_bad[1, 0, 0, 2] = chi_bad[0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
+            AdmissiblePair(f=f_bad, chi=chi, vgrid=vgrid)
+        with pytest.raises(ValueError, match="modes must be finite"):
+            AdmissiblePair(f=f, chi=chi_bad, vgrid=vgrid)
+
+    def test_kinetic_energies_of_wrong_shape_rejected(self):
+        pair = sine_pair()
+        k = profile_kinetic_energy(pair.chi, GRID)
+        AdmissiblePair(f=pair.f, chi=pair.chi, vgrid=pair.vgrid, k=k)
+        with pytest.raises(ValueError, match="disagree on"):
+            AdmissiblePair(f=pair.f, chi=pair.chi, vgrid=pair.vgrid, k=k[..., :1])
 
     def test_orthonormality_check(self):
         pair = sine_pair()
@@ -192,3 +217,72 @@ class TestBandDensities:
         rho = band_densities(pair)
         manual = np.sum(pair.f[0, 0, 0] * VGRID.weights)
         assert rho[0, 0, 0] == pytest.approx(manual, rel=1e-14)
+
+
+def tied_pair(J, seed):
+    """Seeded pair full of ties: occupations clipped at 0 and 1, and repeated
+    modes (hence equal kinetic energies) in every slice."""
+    rng = np.random.default_rng(seed)
+    ny1, ny2 = GRID.lateral_shape
+    f = np.clip(rng.uniform(-0.6, 1.6, (ny1, ny2, J, VGRID.n_nodes)), 0.0, 1.0)
+    f[:, :, J // 2] = f[:, :, 0]  # whole bands of equal occupations too
+    modes = rng.normal(size=(ny1, ny2, max(1, J - 1), GRID.nz - 1))
+    chi = modes[:, :, rng.integers(0, modes.shape[2], J)]
+    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # as integers, -0.0 and +0.0 differ
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def energy_sort_reference(pair, grid):
+    """The take_along_axis formulation the row gathers replace."""
+    order = np.argsort(profile_kinetic_energy(pair.chi, grid), axis=2, kind="stable")
+    f = np.take_along_axis(pair.f, order[..., None], axis=2)
+    chi = np.take_along_axis(pair.chi, order[..., None], axis=2)
+    return AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid)
+
+
+def joint_density_reference(pair, order):
+    """The take_along_axis and broadcast one-hot formulation of the joint densities."""
+    f_perm = np.take_along_axis(pair.f, order, axis=2)
+    onehot = order[..., None] == np.arange(pair.J)
+    return np.einsum("abjv,abjvi,v->abi", f_perm, onehot, pair.vgrid.weights)
+
+
+class TestKernelsBitForBit:
+    """Each kernel returns the bytes of the numpy formulation it replaced."""
+
+    @pytest.mark.parametrize("J", range(1, 7))
+    def test_energy_sort_is_the_take_along_axis_gather(self, J):
+        for seed in range(3):
+            pair = tied_pair(J, seed)
+            ref = energy_sort_reference(pair, GRID)
+            k = profile_kinetic_energy(pair.chi, GRID)
+            carrying = AdmissiblePair(pair.f, pair.chi, pair.vgrid, k=k)
+            for given in (pair, carrying):
+                out = rearrange_energy_increasing(given, GRID)
+                assert same_bytes(out.f, ref.f) and same_bytes(out.chi, ref.chi)
+                # the carried energies are those of the modes they travelled with
+                assert same_bytes(out.k, profile_kinetic_energy(out.chi, GRID))
+
+    @pytest.mark.parametrize("J", range(1, 7))
+    def test_occupation_sort_is_np_sort(self, J):
+        for seed in range(3):
+            pair = tied_pair(J, seed)
+            out = rearrange_occupation_decreasing(pair)
+            assert same_bytes(out.f, -np.sort(-pair.f, axis=2))
+            order = occupation_sort_permutation(pair)
+            assert np.array_equal(order, np.argsort(-pair.f, axis=2, kind="stable"))
+            assert same_bytes(out.f, np.take_along_axis(pair.f, order, axis=2))
+
+    @pytest.mark.parametrize("J", range(1, 7))
+    def test_joint_densities_are_the_take_along_axis_contraction(self, J):
+        for seed in range(3):
+            pair = tied_pair(J, seed)
+            order = occupation_sort_permutation(pair)
+            broken = np.where(order == J - 1, 0, order)
+            for o in (order, broken):
+                assert same_bytes(joint_band_densities(pair, o), joint_density_reference(pair, o))

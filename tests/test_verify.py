@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -370,6 +371,47 @@ class TestRunVerification:
         ]
         again = run_verification(cfg, seed=42, n_pairs=3, n_perturbations=3)
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in again]
+
+    @pytest.mark.parametrize("T", [0.2, 0.0])
+    def test_reports_equal_under_the_reference_kernels(self, T, monkeypatch):
+        # the rearrangement kernels put back to take_along_axis, -np.sort(-f)
+        # and the stable argsort, with no carried kinetic energies: the same
+        # reports, bit for bit (T = 0 gives long runs of tied occupations)
+        cfg = SolverConfig(
+            M_target=0.5, model=OccupancyModel(T=T, p=2.0), grid=Grid(4, 4, 16),
+            vext_kind="zwell", vext_amplitude=4.0,
+        )
+        counts = {"seed": 7, "n_pairs": 3, "n_perturbations": 3}
+        fast = [r.as_dict() for r in run_verification(cfg, **counts)]
+
+        def energy_sort(pair, grid):
+            order = np.argsort(profile_kinetic_energy(pair.chi, grid), axis=2, kind="stable")
+            f = np.take_along_axis(pair.f, order[..., None], axis=2)
+            chi = np.take_along_axis(pair.chi, order[..., None], axis=2)
+            return dataclasses.replace(pair, f=f, chi=chi, k=None)
+
+        def joint(pair, order):
+            f_perm = np.take_along_axis(pair.f, order, axis=2)
+            onehot = order[..., None] == np.arange(pair.J)
+            return np.einsum("abjv,abjvi,v->abi", f_perm, onehot, pair.vgrid.weights)
+
+        # verify binds the rearrange names it calls, so they are replaced there
+        monkeypatch.setattr(verify, "rearrange_energy_increasing", energy_sort)
+        monkeypatch.setattr(
+            verify, "rearrange_occupation_decreasing",
+            lambda pair: dataclasses.replace(pair, f=-np.sort(-pair.f, axis=2)),
+        )
+        monkeypatch.setattr(
+            verify, "occupation_sort_permutation",
+            lambda pair: np.argsort(-pair.f, axis=2, kind="stable"),
+        )
+        monkeypatch.setattr(verify, "joint_band_densities", joint)
+        for name in ("random_test_pair", "occupation_bump"):
+            made = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda *a, made=made: dataclasses.replace(made(*a), k=None)
+            )
+        assert fast == [r.as_dict() for r in run_verification(cfg, **counts)]
 
     def test_coarsest_z_grid_passes(self):
         # nz = 4: the test pairs draw nz - 1 = 3 modes, not 4
