@@ -68,6 +68,7 @@ from .schrodinger import (
     confined_kinetic,
     external_pairing,
     mode_expectations,
+    profile_kinetic_energy,
     solve_slices,
     zero_extend,
 )
@@ -351,7 +352,7 @@ def make_state(
         band_energy=band_total(spectrum.lam * rho_j) * area_w,
         field_energy=0.5 * dirichlet_energy(U, grid),
         casimir=model.T * 2.0 * np.pi * band_total(model.profile_b(gap)) * area_w,
-        quantum_kinetic=confined_kinetic(rho_j, spectrum.chi, grid),
+        quantum_kinetic=confined_kinetic(rho_j, profile_kinetic_energy(spectrum.chi, grid), grid),
         # squared anew: kept from occupy_modes, they would raise the peak memory
         vext_pairing=external_pairing(rho_j, zero_extend(spectrum.chi) ** 2, vext, grid),
     )

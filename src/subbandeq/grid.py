@@ -12,6 +12,7 @@ of Grid.volume_shape.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ class Grid:
     L2: float = 1.0
 
     def __post_init__(self):
-        if self.ny1 < 2 or self.ny2 < 2:
+        if operator.index(self.ny1) < 2 or operator.index(self.ny2) < 2:
             raise ValueError("need at least 2 interior nodes in each lateral direction")
-        if self.nz < 4:
+        if operator.index(self.nz) < 4:
             raise ValueError("need at least 4 z-intervals")
         if not (0.0 < self.L1 < np.inf and 0.0 < self.L2 < np.inf):
             raise ValueError("lateral extents must be finite and positive")

@@ -24,13 +24,7 @@ import numpy as np
 from .grid import Grid
 from .occupancy import OccupancyModel
 from .poisson import dirichlet_energy, solve_poisson
-from .schrodinger import (
-    band_sum_density,
-    band_total,
-    external_pairing,
-    profile_kinetic_energy,
-    zero_extend,
-)
+from .schrodinger import band_sum_density, confined_kinetic, external_pairing, zero_extend
 
 
 @dataclass(frozen=True)
@@ -64,20 +58,18 @@ class AdmissiblePair:
 
     f:   (ny1, ny2, J, nv) occupations in [0, 1]
     chi: (ny1, ny2, J, nz-1) interior z-samples, finite and orthonormal per slice
-    k:   (ny1, ny2, J) profile_kinetic_energy(chi, grid), or None: formed on use
+    k:   (ny1, ny2, J) profile_kinetic_energy(chi, grid), formed with the modes
     """
 
     f: np.ndarray
     chi: np.ndarray
     vgrid: RadialGrid
-    k: np.ndarray | None = None
+    k: np.ndarray
 
     def __post_init__(self):
         if self.f.ndim != 4 or self.chi.ndim != 4:
             raise ValueError("admissible pair arrays have wrong rank")
-        if self.f.shape[:3] != self.chi.shape[:3] or (
-            self.k is not None and self.k.shape != self.f.shape[:3]
-        ):
+        if not self.f.shape[:3] == self.chi.shape[:3] == self.k.shape:
             raise ValueError("admissible pair arrays disagree on (ny1, ny2, J)")
         if self.f.shape[3] != self.vgrid.n_nodes:
             raise ValueError("occupations do not match the radial grid")
@@ -115,12 +107,6 @@ def velocity_kinetic(pair: AdmissiblePair, grid: Grid) -> float:
     return float(np.einsum("abjv,v->", pair.f, pair.vgrid.weights * u) * grid.hy1 * grid.hy2)
 
 
-def pair_confined_kinetic(pair: AdmissiblePair, rho_j: np.ndarray, grid: Grid) -> float:
-    """confined_kinetic(rho_j, pair.chi, grid), on the energies pair.k when the pair has them."""
-    k = profile_kinetic_energy(pair.chi, grid) if pair.k is None else pair.k
-    return 0.5 * band_total(k * rho_j) * (grid.hy1 * grid.hy2)
-
-
 def pair_free_energy(
     pair: AdmissiblePair,
     grid: Grid,
@@ -136,7 +122,7 @@ def pair_free_energy(
     U = solve_poisson(band_sum_density(rho_j, chi2), grid)
     total = (
         velocity_kinetic(pair, grid)
-        + pair_confined_kinetic(pair, rho_j, grid)
+        + confined_kinetic(rho_j, pair.k, grid)
         + 0.5 * dirichlet_energy(U, grid)
         + model.T * pair_casimir(pair, grid, model)
     )
@@ -148,15 +134,15 @@ def pair_free_energy(
 # ---- the two rearrangements --------------------------------------------------
 
 
-def rearrange_energy_increasing(pair: AdmissiblePair, grid: Grid) -> AdmissiblePair:
+def rearrange_energy_increasing(pair: AdmissiblePair) -> AdmissiblePair:
     """Per slice, permute bands so |d chi_j/dz|^2 is nondecreasing in j.
 
     Occupations, modes and k move together, one row gather each: the bytes
     of np.take_along_axis at a fraction of its cost.  Stable sort with index
     tie-break, hence deterministic under equal energies.
     """
-    k = profile_kinetic_energy(pair.chi, grid) if pair.k is None else pair.k
-    first = np.arange(0, k.size, k.shape[2]).reshape(k.shape[:2] + (1,))  # row of band 0
+    k = pair.k
+    first = np.arange(0, k.size, pair.J).reshape(k.shape[:2] + (1,))  # row of band 0
     rows = (first + np.argsort(k, axis=2, kind="stable")).ravel()
     f, chi, k = (a.reshape(rows.size, -1)[rows].reshape(a.shape) for a in (pair.f, pair.chi, k))
     return replace(pair, f=f, chi=chi, k=k)

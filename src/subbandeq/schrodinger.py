@@ -116,9 +116,9 @@ def band_total(x: np.ndarray) -> float:
     return float(np.sum(np.cumsum(x, axis=2)[..., -1]))
 
 
-def confined_kinetic(rho_j: np.ndarray, chi: np.ndarray, grid: Grid) -> float:
-    """(1/2) sum_j int |d chi_j/dz|^2 rho_j dy."""
-    return 0.5 * band_total(profile_kinetic_energy(chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
+def confined_kinetic(rho_j: np.ndarray, k: np.ndarray, grid: Grid) -> float:
+    """(1/2) sum_j int |d chi_j/dz|^2 rho_j dy, from k = profile_kinetic_energy(chi, grid)."""
+    return 0.5 * band_total(k * rho_j) * (grid.hy1 * grid.hy2)
 
 
 def mode_expectations(W: np.ndarray, chi2: np.ndarray, grid: Grid) -> np.ndarray:

@@ -48,7 +48,6 @@ from .rearrange import (
     joint_band_densities,
     occupation_sort_permutation,
     pair_casimir,
-    pair_confined_kinetic,
     pair_free_energy,
     pair_mass,
     rearrange_energy_increasing,
@@ -56,7 +55,7 @@ from .rearrange import (
     velocity_kinetic,
 )
 from .schrodinger import band_sum_density, sine_modes, solve_slices  # noqa: F401
-from .schrodinger import check_orthonormal, profile_kinetic_energy, zero_extend
+from .schrodinger import check_orthonormal, confined_kinetic, profile_kinetic_energy, zero_extend
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,10 @@ def check_weighted_l1(pair: AdmissiblePair, grid: Grid, model: OccupancyModel) -
     """sum_j j^2 ||f_j|| <= (3/pi^2) sum int |dchi|^2 rho <= (6/pi^2) F, each
     with 1e-6 relative slack, evaluated on rearrange_energy_increasing(pair):
     the bound holds for energy-sorted pairs, so any admissible pair is taken."""
-    pair = rearrange_energy_increasing(pair, grid)
+    pair = rearrange_energy_increasing(pair)
     rho_j = band_densities(pair)
     lhs = _weighted_band_l1(rho_j, grid)
-    mid = 6.0 / math.pi**2 * pair_confined_kinetic(pair, rho_j, grid)
+    mid = 6.0 / math.pi**2 * confined_kinetic(rho_j, pair.k, grid)
     F, _ = pair_free_energy(pair, grid, model)
     rhs = float(6.0 / math.pi**2 * F)
     ok = lhs <= mid * (1.0 + 1e-6) and mid <= rhs * (1.0 + 1e-6)
@@ -182,7 +181,7 @@ def check_kinetic_interpolation(pair: AdmissiblePair, grid: Grid) -> CheckReport
     fs = np.einsum("abjv,v->j", pair.f**s, pair.vgrid.weights) * (grid.hy1 * grid.hy2)
     holder_lhs = float(np.sum(fs ** (1.0 / s)))
     vel2 = 2.0 * velocity_kinetic(pair, grid)
-    kin_mix = 2.0 * pair_confined_kinetic(pair, rho_j, grid)
+    kin_mix = 2.0 * confined_kinetic(rho_j, pair.k, grid)
     e1 = 2.0 * s / (5.0 * s - 3.0)
     e2 = 2.0 * (s - 1.0) / (5.0 * s - 3.0)
     e3 = (s - 1.0) / (5.0 * s - 3.0)
@@ -364,7 +363,8 @@ def mode_rotation(base: GridBase, angle: float) -> AdmissiblePair:
     chi = base.pair.chi.copy()
     chi[:, :, 0, :] = c * a + s * b
     chi[:, :, 1, :] = -s * a + c * b
-    return AdmissiblePair(f=base.pair.f.copy(), chi=chi, vgrid=base.pair.vgrid)
+    k = profile_kinetic_energy(chi, base.cfg.grid)
+    return AdmissiblePair(f=base.pair.f.copy(), chi=chi, vgrid=base.pair.vgrid, k=k)
 
 
 # ---- coercivity and stability ----------------------------------------------------
@@ -505,14 +505,14 @@ def check_rearrangement_invariance(
     def invariants(p: AdmissiblePair):
         rho_j, chi2 = band_densities(p), zero_extend(p.chi) ** 2
         casimir = pair_casimir(p, grid, model)
-        qkin = pair_confined_kinetic(p, rho_j, grid)
+        qkin = confined_kinetic(rho_j, p.k, grid)
         energy = velocity_kinetic(p, grid) + qkin + model.T * casimir
         return pair_mass(p, grid), casimir, band_sum_density(rho_j, chi2), energy, qkin, chi2
 
     mass, casimir, rho, energy, qkin, chi2 = invariants(pair)
-    up = rearrange_energy_increasing(pair, grid)
+    up = rearrange_energy_increasing(pair)
     mass_up, casimir_up, rho_up, energy_up, *_ = invariants(up)
-    again = rearrange_energy_increasing(dc_replace(up, k=None), grid)  # by the written modes
+    again = rearrange_energy_increasing(dc_replace(up, k=profile_kinetic_energy(up.chi, grid)))
     down = rearrange_occupation_decreasing(pair)
     rho_joint = joint_band_densities(pair, occupation_sort_permutation(pair))
     errs = {
@@ -523,7 +523,7 @@ def check_rearrangement_invariance(
         "mass_down": abs(pair_mass(down, grid) - mass),
         "casimir_down": abs(pair_casimir(down, grid, model) - casimir),
         "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, chi2) - rho))),
-        "energy_down_joint": abs(pair_confined_kinetic(pair, rho_joint, grid) - qkin),
+        "energy_down_joint": abs(confined_kinetic(rho_joint, pair.k, grid) - qkin),
         "idempotent_up": float(np.max(np.abs(again.chi - up.chi))),
         "idempotent_down": float(np.max(np.abs(rearrange_occupation_decreasing(down).f - down.f))),
     }
@@ -552,7 +552,7 @@ def run_verification(
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     for name, n in (("n_pairs", n_pairs), ("n_perturbations", n_perturbations)):
-        if n < 1:
+        if operator.index(n) < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     state, trace = solve_equilibrium(cfg)
     if not trace.converged:

@@ -276,9 +276,7 @@ def test_criterion_11_weighted_l1():
     vgrid = RadialGrid.uniform(3.0, 96)
     n_pass = 0
     for seed in range(50):
-        pair = rearrange_energy_increasing(
-            random_test_pair(grid, 4, vgrid, seed=seed), grid
-        )
+        pair = rearrange_energy_increasing(random_test_pair(grid, 4, vgrid, seed=seed))
         if check_weighted_l1(pair, grid, OccupancyModel(T=0.0)).passed:
             n_pass += 1
     report(11, "weighted band-index bound", n_pass == 50, f"{n_pass}/50 pairs")

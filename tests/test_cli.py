@@ -1,15 +1,11 @@
 import inspect
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import subbandeq
 from subbandeq.cli import (
     CONFIG_DEFAULTS, CSV_BLOCK_ROWS, _write_csv, load_config, main, solver_config,
 )
@@ -43,19 +39,12 @@ def reference_csv(header, rows):
     return "".join(line + "\n" for line in lines)
 
 
-def run_python(code):
-    src = str(Path(subbandeq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
-
-
-def test_import_does_not_load_scipy():
-    res = run_python("import sys, subbandeq.cli; print('scipy' in sys.modules)")
+def test_import_does_not_load_scipy(run_python):
+    res = run_python("-c", "import sys, subbandeq.cli; print('scipy' in sys.modules)")
     assert res.stdout.strip() == "False"
 
 
-def test_seeded_commands_load_no_rng_or_crypto_stack(tmp_path):
+def test_seeded_commands_load_no_rng_or_crypto_stack(tmp_path, run_python):
     # numpy.random imports secrets -> hmac -> hashlib -> _hashlib (OpenSSL)
     cfg = write_config(tmp_path, {**FAST, "init": {"kind": "random", "seed": 1},
                                   "verify": {"n_pairs": 2, "n_perturbations": 2}})
@@ -68,10 +57,10 @@ def test_seeded_commands_load_no_rng_or_crypto_stack(tmp_path):
         f"rcs = [main(argv + ['--config', {cfg!r}, '--out', {out!r}]) for argv in runs]\n"
         "print(rcs, sorted({'numpy.random', 'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
     )
-    assert run_python(code).stdout.splitlines()[-1] == "[0, 0] []"
+    assert run_python("-c", code).stdout.splitlines()[-1] == "[0, 0] []"
 
 
-def test_runtime_without_scipy(tmp_path):
+def test_runtime_without_scipy(tmp_path, run_python):
     # None in sys.modules makes every "import scipy..." raise ImportError.
     cfg = write_config(tmp_path, {**FAST, "verify": {"n_pairs": 2, "n_perturbations": 2}})
     out = str(tmp_path / "out")
@@ -83,7 +72,7 @@ def test_runtime_without_scipy(tmp_path):
         f"runs = [argv + ['--config', {cfg!r}] for argv in runs] + [['validate']]\n"
         f"print([main(argv + ['--out', {out!r}]) for argv in runs])\n"
     )
-    assert run_python(code).stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert run_python("-c", code).stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_config_defaults_match_the_library_defaults(tmp_path):
@@ -487,24 +476,13 @@ class TestVerify:
         b2 = (out2 / "verify_report.json").read_bytes()
         assert b1 == b2
 
-    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, run_python):
         cfg = write_config(tmp_path, self.VCFG)
-        src = str(Path(subbandeq.__file__).resolve().parents[1])
         reports = []
-        for threads in ("1", "2"):
+        for threads in (1, 2):
             out = tmp_path / f"t{threads}"
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            subprocess.run(
-                [sys.executable, "-m", "subbandeq.cli", "verify", "--config", cfg, "--out", str(out)],
-                env=env,
-                check=True,
-                timeout=300,
-            )
+            run_python("-m", "subbandeq.cli", "verify", "--config", cfg, "--out", str(out),
+                       threads=threads, timeout=300)
             reports.append((out / "verify_report.json").read_bytes())
         assert reports[0] == reports[1]
 

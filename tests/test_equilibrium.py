@@ -1,13 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import subbandeq
 from subbandeq.equilibrium import (
     SeededDraws,
     SolverConfig,
@@ -286,7 +281,7 @@ class TestSolveEquilibrium:
         assert np.array_equal(s1.U, s2.U)
         assert s1.mu == s2.mu
 
-    def test_full_solve_bitwise_identical_across_blas_thread_counts(self):
+    def test_full_solve_bitwise_identical_across_blas_thread_counts(self, run_python):
         # the acceptance grid is large enough for BLAS to split its work,
         # so this guards every reduction of the loop, the Anderson Gram
         # products included
@@ -303,20 +298,7 @@ class TestSolveEquilibrium:
             "h.update(rows.tobytes())\n"
             "print(trace.converged, trace.iterations, h.hexdigest())\n"
         )
-        src = str(Path(subbandeq.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
-                text=True, timeout=300,
-            )
-            outputs.append(run.stdout)
+        outputs = [run_python("-c", script, threads=n, timeout=300).stdout for n in (1, 2)]
         assert outputs[0].startswith("True ")
         assert outputs[0] == outputs[1]
 

@@ -20,6 +20,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(8, 8, 16, L1=-1.0)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3, 8), (3.0, 3, 8), (3, 3.0, 8), (3, 3, 8.0)])
+    def test_non_integral_sizes_rejected(self, sizes):
+        # a float size would construct, then fail in np.zeros(grid.volume_shape)
+        with pytest.raises(TypeError):
+            Grid(*sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = Grid(np.int64(3), np.int32(3), np.int64(8))
+        assert np.zeros(g.volume_shape).shape == (3, 3, 9)
+
     def test_z_weights_sum_to_one(self):
         g = Grid(4, 4, 12)
         assert np.sum(g.z_weights()) == pytest.approx(1.0, abs=1e-15)

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import subbandeq
 from subbandeq.grid import Grid
 from subbandeq.poisson import (
     apply_operator,
@@ -74,7 +68,7 @@ class TestSolvePoisson:
             np.testing.assert_allclose(V.T @ W @ V, np.eye(nz + 1), rtol=0, atol=1e-13)
             np.testing.assert_allclose(K @ V, W @ V * s, rtol=0, atol=1e-13)
 
-    def test_bitwise_identical_across_blas_thread_counts(self):
+    def test_bitwise_identical_across_blas_thread_counts(self, run_python):
         # 24 x 24 x 64 is large enough for BLAS to split the transforms
         # across threads; the tiny verify run in test_cli is not
         script = (
@@ -85,20 +79,7 @@ class TestSolvePoisson:
             "rho = np.random.default_rng(1).uniform(0.0, 1.0, g.volume_shape)\n"
             "print(hashlib.sha256(solve_poisson(rho, g).tobytes()).hexdigest())\n"
         )
-        src = str(Path(subbandeq.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
-                text=True, timeout=120,
-            )
-            digests.append(run.stdout)
+        digests = [run_python("-c", script, threads=n).stdout for n in (1, 2)]
         assert digests[0] == digests[1]
 
     def test_returns_volume_array(self):

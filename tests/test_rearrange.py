@@ -36,7 +36,7 @@ def sine_pair(order=(1, 2), f_values=None):
     f = np.zeros((ny1, ny2, J, VGRID.n_nodes))
     for slot, val in enumerate(f_values):
         f[:, :, slot, :] = val * np.exp(-VGRID.r**2)
-    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID)
+    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID, k=profile_kinetic_energy(chi, GRID))
 
 
 def joint_density_loop(pair, order):
@@ -77,7 +77,7 @@ class TestPairValidation:
     def test_occupations_out_of_range(self):
         pair = sine_pair()
         with pytest.raises(ValueError):
-            AdmissiblePair(f=pair.f + 2.0, chi=pair.chi, vgrid=pair.vgrid)
+            AdmissiblePair(f=pair.f + 2.0, chi=pair.chi, vgrid=pair.vgrid, k=pair.k)
 
     def test_malformed_arrays_rejected(self):
         pair = sine_pair()
@@ -90,19 +90,19 @@ class TestPairValidation:
         ]
         for f, chi, message in cases:
             with pytest.raises(ValueError, match=message):
-                AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid)
+                AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid, k=pair.k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
         vgrid = RadialGrid.uniform(1.0, 4)
-        f, chi = np.full((2, 2, 1, 5), 0.5), np.ones((2, 2, 1, 3))
-        AdmissiblePair(f=f, chi=chi, vgrid=vgrid)
+        f, chi, k = np.full((2, 2, 1, 5), 0.5), np.ones((2, 2, 1, 3)), np.ones((2, 2, 1))
+        AdmissiblePair(f=f, chi=chi, vgrid=vgrid, k=k)
         f_bad, chi_bad = f.copy(), chi.copy()
         f_bad[1, 0, 0, 2] = chi_bad[0, 1, 0, 1] = bad
         with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
-            AdmissiblePair(f=f_bad, chi=chi, vgrid=vgrid)
+            AdmissiblePair(f=f_bad, chi=chi, vgrid=vgrid, k=k)
         with pytest.raises(ValueError, match="modes must be finite"):
-            AdmissiblePair(f=f, chi=chi_bad, vgrid=vgrid)
+            AdmissiblePair(f=f, chi=chi_bad, vgrid=vgrid, k=k)
 
     def test_kinetic_energies_of_wrong_shape_rejected(self):
         pair = sine_pair()
@@ -114,7 +114,8 @@ class TestPairValidation:
     def test_orthonormality_check(self):
         pair = sine_pair()
         check_orthonormal(pair.chi, GRID)
-        broken = AdmissiblePair(f=pair.f, chi=pair.chi * 1.2, vgrid=pair.vgrid)
+        chi = pair.chi * 1.2
+        broken = AdmissiblePair(pair.f, chi, pair.vgrid, profile_kinetic_energy(chi, GRID))
         with pytest.raises(ValueError):
             check_orthonormal(broken.chi, GRID)
 
@@ -122,7 +123,7 @@ class TestPairValidation:
 class TestEnergySort:
     def test_already_sorted_is_identity(self):
         pair = sine_pair(order=(1, 2))
-        out = rearrange_energy_increasing(pair, GRID)
+        out = rearrange_energy_increasing(pair)
         assert np.array_equal(out.chi, pair.chi)
         assert np.array_equal(out.f, pair.f)
 
@@ -131,7 +132,7 @@ class TestEnergySort:
         pair = sine_pair(order=(2, 1), f_values=[0.5, 0.9])
         k = profile_kinetic_energy(pair.chi, GRID)
         assert np.all(k[:, :, 0] > k[:, :, 1])
-        out = rearrange_energy_increasing(pair, GRID)
+        out = rearrange_energy_increasing(pair)
         assert np.all(np.diff(profile_kinetic_energy(out.chi, GRID), axis=2) >= 0.0)
         sorted_ref = sine_pair(order=(1, 2), f_values=[0.9, 0.5])
         assert np.allclose(out.chi, sorted_ref.chi)
@@ -141,7 +142,7 @@ class TestEnergySort:
         model = OccupancyModel(T=0.7, p=2.0)
         for seed in range(5):
             pair = random_test_pair(GRID, 4, VGRID, seed)
-            out = rearrange_energy_increasing(pair, GRID)
+            out = rearrange_energy_increasing(pair)
             assert abs(pair_mass(out, GRID) - pair_mass(pair, GRID)) <= 1e-12
             assert abs(
                 pair_casimir(out, GRID, model) - pair_casimir(pair, GRID, model)
@@ -152,8 +153,8 @@ class TestEnergySort:
 
     def test_idempotent(self):
         pair = random_test_pair(GRID, 4, VGRID, seed=17)
-        once = rearrange_energy_increasing(pair, GRID)
-        twice = rearrange_energy_increasing(once, GRID)
+        once = rearrange_energy_increasing(pair)
+        twice = rearrange_energy_increasing(once)
         assert np.array_equal(once.chi, twice.chi)
         assert np.array_equal(once.f, twice.f)
 
@@ -228,7 +229,7 @@ def tied_pair(J, seed):
     f[:, :, J // 2] = f[:, :, 0]  # whole bands of equal occupations too
     modes = rng.normal(size=(ny1, ny2, max(1, J - 1), GRID.nz - 1))
     chi = modes[:, :, rng.integers(0, modes.shape[2], J)]
-    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID)
+    return AdmissiblePair(f=f, chi=chi, vgrid=VGRID, k=profile_kinetic_energy(chi, GRID))
 
 
 def same_bytes(a, b):
@@ -242,7 +243,7 @@ def energy_sort_reference(pair, grid):
     order = np.argsort(profile_kinetic_energy(pair.chi, grid), axis=2, kind="stable")
     f = np.take_along_axis(pair.f, order[..., None], axis=2)
     chi = np.take_along_axis(pair.chi, order[..., None], axis=2)
-    return AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid)
+    return AdmissiblePair(f=f, chi=chi, vgrid=pair.vgrid, k=profile_kinetic_energy(chi, grid))
 
 
 def joint_density_reference(pair, order):
@@ -260,13 +261,10 @@ class TestKernelsBitForBit:
         for seed in range(3):
             pair = tied_pair(J, seed)
             ref = energy_sort_reference(pair, GRID)
-            k = profile_kinetic_energy(pair.chi, GRID)
-            carrying = AdmissiblePair(pair.f, pair.chi, pair.vgrid, k=k)
-            for given in (pair, carrying):
-                out = rearrange_energy_increasing(given, GRID)
-                assert same_bytes(out.f, ref.f) and same_bytes(out.chi, ref.chi)
-                # the carried energies are those of the modes they travelled with
-                assert same_bytes(out.k, profile_kinetic_energy(out.chi, GRID))
+            out = rearrange_energy_increasing(pair)
+            assert same_bytes(out.f, ref.f) and same_bytes(out.chi, ref.chi)
+            # the carried energies are those of the modes they travelled with
+            assert same_bytes(out.k, profile_kinetic_energy(out.chi, GRID))
 
     @pytest.mark.parametrize("J", range(1, 7))
     def test_occupation_sort_is_np_sort(self, J):

@@ -1,14 +1,8 @@
 import inspect
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import subbandeq
 
 from subbandeq.grid import Grid
 from subbandeq.schrodinger import (
@@ -473,7 +467,7 @@ class TestWarmStart:
             r = tridiagonal_apply(W, chi[j], g) - lam[j] * chi[j]
             assert np.linalg.norm(r) <= rho * np.linalg.norm(chi[j])
 
-    def test_bitwise_identical_across_blas_thread_counts(self):
+    def test_bitwise_identical_across_blas_thread_counts(self, run_python):
         script = (
             "import hashlib, numpy as np\n"
             "from subbandeq.grid import Grid\n"
@@ -490,20 +484,7 @@ class TestWarmStart:
             "spec = solve_slices(double_well(g), 6, g)\n"
             "print(hashlib.sha256(spec.lam.tobytes() + spec.chi.tobytes()).hexdigest())\n"
         )
-        src = str(Path(subbandeq.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, check=True, capture_output=True,
-                text=True, timeout=120,
-            )
-            digests.append(run.stdout)
+        digests = [run_python("-c", script, threads=n).stdout for n in (1, 2)]
         assert digests[0] == digests[1]
 
     def test_working_set_bounded_by_block(self):

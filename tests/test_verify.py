@@ -16,6 +16,7 @@ from subbandeq.grid import Grid
 from subbandeq.occupancy import OccupancyModel
 from subbandeq.poisson import solve_poisson
 from subbandeq.rearrange import (
+    AdmissiblePair,
     RadialGrid,
     band_densities,
     pair_free_energy,
@@ -90,8 +91,8 @@ class TestRandomTestPair:
 class TestWeightedL1:
     def test_zero_occupations(self):
         pair = random_test_pair(GRID, 3, VGRID, seed=0)
-        pair = rearrange_energy_increasing(pair, GRID)
-        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid)
+        pair = rearrange_energy_increasing(pair)
+        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid, k=pair.k)
         r = check_weighted_l1(zero, GRID, MODEL_T0)
         assert r.passed and r.lhs == 0.0
 
@@ -102,25 +103,26 @@ class TestWeightedL1:
         chi = np.broadcast_to(
             np.sqrt(2.0) * np.sin(np.pi * z), pair.chi.shape
         ).copy()
-        pair = type(pair)(f=pair.f, chi=chi, vgrid=pair.vgrid)
+        pair = type(pair)(f=pair.f, chi=chi, vgrid=pair.vgrid, k=profile_kinetic_energy(chi, GRID))
         r = check_weighted_l1(pair, GRID, MODEL_T0)
         assert r.passed
-        k = profile_kinetic_energy(chi, GRID)[0, 0, 0]
+        k = pair.k[0, 0, 0]
         assert r.details["middle"] == pytest.approx(3.0 / np.pi**2 * k * r.lhs, rel=1e-10)
         assert r.details["middle"] >= 1.45 * r.lhs
 
     def test_randomized_family(self):
         for seed in range(12):
             pair = random_test_pair(GRID, 4, VGRID, seed=seed)
-            r = check_weighted_l1(rearrange_energy_increasing(pair, GRID), GRID, MODEL_T0)
+            r = check_weighted_l1(rearrange_energy_increasing(pair), GRID, MODEL_T0)
             assert r.passed
 
     def test_unsorted_pair_gets_the_sorted_report(self):
         # the bound holds for the energy-sorted arrangement, which the check
         # forms itself: a band-reversed pair is reported as its rearrangement
-        pair = rearrange_energy_increasing(random_test_pair(GRID, 3, VGRID, 2), GRID)
+        pair = rearrange_energy_increasing(random_test_pair(GRID, 3, VGRID, 2))
         reversed_pair = type(pair)(
             f=pair.f[:, :, ::-1, :], chi=pair.chi[:, :, ::-1, :], vgrid=pair.vgrid,
+            k=pair.k[:, :, ::-1],
         )
         r = check_weighted_l1(reversed_pair, GRID, MODEL_T0)
         assert r.passed
@@ -130,7 +132,7 @@ class TestWeightedL1:
 class TestKineticInterpolation:
     def test_zero_pair(self):
         pair = random_test_pair(GRID, 3, VGRID, seed=3)
-        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid)
+        zero = type(pair)(f=np.zeros_like(pair.f), chi=pair.chi, vgrid=pair.vgrid, k=pair.k)
         r = check_kinetic_interpolation(zero, GRID)
         assert r.ratio == 0.0 and r.passed
 
@@ -254,7 +256,7 @@ class TestCoercivity:
         # the chain holds for the occupation-sorted arrangement, which the
         # check forms itself: reversed occupations report as the sorted pert
         pert = rearrange_occupation_decreasing(occupation_bump(base, 1e-1, seed=0))
-        reversed_pert = type(pert)(f=pert.f[:, :, ::-1, :], chi=pert.chi, vgrid=pert.vgrid)
+        reversed_pert = dataclasses.replace(pert, f=pert.f[:, :, ::-1, :])
         reports = check_perturbation(base, reversed_pert)
         assert all(r.passed for r in reports)
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in check_perturbation(base, pert)]
@@ -375,8 +377,9 @@ class TestRunVerification:
     @pytest.mark.parametrize("T", [0.2, 0.0])
     def test_reports_equal_under_the_reference_kernels(self, T, monkeypatch):
         # the rearrangement kernels put back to take_along_axis, -np.sort(-f)
-        # and the stable argsort, with no carried kinetic energies: the same
-        # reports, bit for bit (T = 0 gives long runs of tied occupations)
+        # and the stable argsort, the energy sort on energies formed anew from
+        # the modes: the same reports, bit for bit (T = 0 gives long runs of
+        # tied occupations)
         cfg = SolverConfig(
             M_target=0.5, model=OccupancyModel(T=T, p=2.0), grid=Grid(4, 4, 16),
             vext_kind="zwell", vext_amplitude=4.0,
@@ -384,11 +387,11 @@ class TestRunVerification:
         counts = {"seed": 7, "n_pairs": 3, "n_perturbations": 3}
         fast = [r.as_dict() for r in run_verification(cfg, **counts)]
 
-        def energy_sort(pair, grid):
-            order = np.argsort(profile_kinetic_energy(pair.chi, grid), axis=2, kind="stable")
+        def energy_sort(pair):
+            order = np.argsort(profile_kinetic_energy(pair.chi, cfg.grid), axis=2, kind="stable")
             f = np.take_along_axis(pair.f, order[..., None], axis=2)
             chi = np.take_along_axis(pair.chi, order[..., None], axis=2)
-            return dataclasses.replace(pair, f=f, chi=chi, k=None)
+            return dataclasses.replace(pair, f=f, chi=chi, k=profile_kinetic_energy(chi, cfg.grid))
 
         def joint(pair, order):
             f_perm = np.take_along_axis(pair.f, order, axis=2)
@@ -406,12 +409,29 @@ class TestRunVerification:
             lambda pair: np.argsort(-pair.f, axis=2, kind="stable"),
         )
         monkeypatch.setattr(verify, "joint_band_densities", joint)
-        for name in ("random_test_pair", "occupation_bump"):
-            made = getattr(verify, name)
-            monkeypatch.setattr(
-                verify, name, lambda *a, made=made: dataclasses.replace(made(*a), k=None)
-            )
         assert fast == [r.as_dict() for r in run_verification(cfg, **counts)]
+
+    @pytest.mark.parametrize("T", [0.2, 0.0])
+    def test_every_pair_carries_the_energies_of_its_modes(self, T, monkeypatch):
+        # each pair a run builds, rearranged and perturbed ones included,
+        # carries profile_kinetic_energy of the modes it holds, bit for bit
+        cfg = SolverConfig(
+            M_target=0.5, model=OccupancyModel(T=T, p=2.0), grid=Grid(4, 4, 16),
+            vext_kind="zwell", vext_amplitude=4.0,
+        )
+        pairs, validate = [], AdmissiblePair.__post_init__
+
+        def recording(pair):
+            validate(pair)
+            pairs.append(pair)
+
+        monkeypatch.setattr(AdmissiblePair, "__post_init__", recording)
+        # the third perturbation is a mode rotation
+        run_verification(cfg, seed=7, n_pairs=2, n_perturbations=3)
+        assert pairs
+        for pair in pairs:
+            k = profile_kinetic_energy(pair.chi, cfg.grid)
+            assert np.array_equal(pair.k.view(np.uint64), k.view(np.uint64))
 
     def test_coarsest_z_grid_passes(self):
         # nz = 4: the test pairs draw nz - 1 = 3 modes, not 4
@@ -433,10 +453,13 @@ class TestRunVerification:
     def test_non_integral_seed_rejected_before_the_solve(self):
         # as above: the TypeError comes before the RuntimeError of the solve
         cfg = SolverConfig(M_target=0.5, grid=Grid(4, 4, 16), vext_kind="zwell", max_outer=1)
-        with pytest.raises(TypeError):
-            run_verification(cfg, seed=1.5)
+        for counts in ({"seed": 1.5}, {"n_pairs": 2.5}, {"n_perturbations": 1.5}):
+            with pytest.raises(TypeError):
+                run_verification(cfg, **counts)
         with pytest.raises(RuntimeError):
             run_verification(cfg, seed=np.int64(1), n_pairs=1, n_perturbations=1)
+        with pytest.raises(RuntimeError):
+            run_verification(cfg, n_pairs=np.int64(2), n_perturbations=np.int32(2))
 
 
 def test_ratio_of_a_positive_lhs_over_zero_is_inf():
