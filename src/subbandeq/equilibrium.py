@@ -70,7 +70,6 @@ from .schrodinger import (
     mode_expectations,
     profile_kinetic_energy,
     solve_slices,
-    zero_extend,
 )
 
 VEXT_KINDS = ("zero", "zwell", "bump")
@@ -124,11 +123,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.M_target < np.inf:
             raise ValueError("M_target must be finite and positive")
-        if not np.isfinite(self.vext_amplitude):
-            raise ValueError("external potential amplitude must be finite")
+        if not 0.0 <= self.vext_amplitude < np.inf:
+            raise ValueError("external potential amplitude must be finite and nonnegative")
         if not 0.0 < self.fp_tol < np.inf:
             raise ValueError("fixed-point tolerance must be finite and positive")
-        if self.max_outer < 1:
+        if operator.index(self.max_outer) < 1:
             raise ValueError("max_outer must be at least 1")
         if self.vext_kind not in VEXT_KINDS:
             raise ValueError(f"unknown external potential kind {self.vext_kind!r}")
@@ -221,14 +220,11 @@ def subband_bound(mu: float) -> float:
 
 
 def occupy_modes(
-    lam: np.ndarray, mu: float, chi2: np.ndarray, grid: Grid, model: OccupancyModel
+    lam: np.ndarray, mu: float, chi: np.ndarray, grid: Grid, model: OccupancyModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Band densities rho_j = 2 pi G(mu - lambda_j) and the potential of sum_j rho_j chi_j^2.
-
-    chi2 = zero_extend(chi) ** 2 holds the squared modes on the closed z-nodes.
-    """
+    """Band densities rho_j = 2 pi G(mu - lambda_j) and the potential of sum_j rho_j chi_j^2."""
     rho_j = 2.0 * np.pi * model.profile_g(mu - lam)
-    return rho_j, solve_poisson(band_sum_density(rho_j, chi2), grid)
+    return rho_j, solve_poisson(band_sum_density(rho_j, chi), grid)
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ class EquilibriumState:
     @property
     def rho(self) -> np.ndarray:
         """Total density sum_j rho_j(y) chi_j(x)^2, shape volume_shape."""
-        return band_sum_density(self.rho_j, zero_extend(self.spectrum.chi) ** 2)
+        return band_sum_density(self.rho_j, self.spectrum.chi)
 
     def mass(self, grid: Grid) -> float:
         return band_total(self.rho_j) * grid.hy1 * grid.hy2
@@ -353,8 +349,7 @@ def make_state(
         field_energy=0.5 * dirichlet_energy(U, grid),
         casimir=model.T * 2.0 * np.pi * band_total(model.profile_b(gap)) * area_w,
         quantum_kinetic=confined_kinetic(rho_j, profile_kinetic_energy(spectrum.chi, grid), grid),
-        # squared anew: kept from occupy_modes, they would raise the peak memory
-        vext_pairing=external_pairing(rho_j, zero_extend(spectrum.chi) ** 2, vext, grid),
+        vext_pairing=external_pairing(rho_j, spectrum.chi, vext, grid),
     )
     return EquilibriumState(mu=mu, spectrum=spectrum, U=U, rho_j=rho_j, energy=energy)
 
@@ -386,7 +381,7 @@ def _evaluate_cycle(
         mu = solve_mu(cfg.M_target, spectrum.lam, grid, cfg.model, mu_guess=mu_guess)
         if np.min(spectrum.lam[..., -1]) > mu:
             break
-    rho_j, U = occupy_modes(spectrum.lam, mu, zero_extend(spectrum.chi) ** 2, grid, cfg.model)
+    rho_j, U = occupy_modes(spectrum.lam, mu, spectrum.chi, grid, cfg.model)
     state = make_state(spectrum, mu, rho_j, U, grid, cfg.model, vext)
     e = state.energy
     dual = e.kinetic_v + e.band_energy + e.casimir - 0.5 * dirichlet_energy(U_in, grid)
@@ -467,12 +462,11 @@ def _frozen_map(cyc: _Cycle, cfg: SolverConfig):
     V = U_k every input is the cycle's, so P(U_k) is G(U_k) bit for bit.
     """
     grid, state = cfg.grid, cyc.state
-    chi2 = zero_extend(state.spectrum.chi) ** 2
 
     def P(V: np.ndarray) -> np.ndarray:
-        lam = state.spectrum.lam + mode_expectations(V - cyc.U_in, chi2, grid)
+        lam = state.spectrum.lam + mode_expectations(V - cyc.U_in, state.spectrum.chi, grid)
         mu = solve_mu(cfg.M_target, lam, grid, cfg.model, mu_guess=state.mu)
-        return occupy_modes(lam, mu, chi2, grid, cfg.model)[1]
+        return occupy_modes(lam, mu, state.spectrum.chi, grid, cfg.model)[1]
 
     return P
 

@@ -11,8 +11,10 @@ Two slice-wise permutations of the band index matter:
   functionals that pair f_j with mode-dependent weights stay invariant
   when evaluated jointly through the permutation).
 
-Both leave mass, entropy, total density and free energy unchanged, band
-sums being permutations of the same summands.
+Both leave mass and entropy unchanged, band sums being permutations of the
+same summands.  The energy sort leaves the total density and free energy
+unchanged too; the occupation sort, which moves f alone, preserves them
+only when they are evaluated jointly through its permutation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .grid import Grid
 from .occupancy import OccupancyModel
 from .poisson import dirichlet_energy, solve_poisson
-from .schrodinger import band_sum_density, confined_kinetic, external_pairing, zero_extend
+from .schrodinger import band_sum_density, confined_kinetic, external_pairing
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,8 @@ def pair_free_energy(
     Kinetic + confined kinetic + external pairing + field + T * Casimir,
     all on the pair's own quadratures.
     """
-    rho_j, chi2 = band_densities(pair), zero_extend(pair.chi) ** 2
-    U = solve_poisson(band_sum_density(rho_j, chi2), grid)
+    rho_j = band_densities(pair)
+    U = solve_poisson(band_sum_density(rho_j, pair.chi), grid)
     total = (
         velocity_kinetic(pair, grid)
         + confined_kinetic(rho_j, pair.k, grid)
@@ -127,7 +129,7 @@ def pair_free_energy(
         + model.T * pair_casimir(pair, grid, model)
     )
     if vext is not None:
-        total += external_pairing(rho_j, chi2, vext, grid)
+        total += external_pairing(rho_j, pair.chi, vext, grid)
     return float(total), U
 
 

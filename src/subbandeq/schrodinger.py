@@ -43,13 +43,6 @@ def sine_modes(J: int, grid: Grid) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.pi * j * z[None, :])
 
 
-def zero_extend(interior: np.ndarray) -> np.ndarray:
-    """Interior z-samples (last axis) on the closed z-node set, zero at z = 0 and z = 1."""
-    full = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
-    full[..., 1:-1] = interior
-    return full
-
-
 @dataclass(frozen=True)
 class SubbandSpectrum:
     """Lowest J eigenpairs on every lateral slice.
@@ -102,13 +95,16 @@ def profile_kinetic_energy(chi: np.ndarray, grid: Grid) -> np.ndarray:
 # ---- mode-weighted integrals ---------------------------------------------------
 # The solver's band densities rho_j = 2 pi G(mu - lambda_j) and an admissible
 # pair's rho_j = int f_j dv meet the modes only through the functions below,
-# so both sides integrate over z with one quadrature.  chi2 is the squared
-# modes on the closed z-nodes, zero_extend(chi) ** 2, formed once by the caller.
+# so both sides integrate over z with one quadrature.  chi holds the modes'
+# interior z-samples, as SubbandSpectrum and AdmissiblePair store them; the
+# modes vanish at z = 0, 1, so these integrals run over the interior nodes.
 
 
-def band_sum_density(rho_j: np.ndarray, chi2: np.ndarray) -> np.ndarray:
-    """rho(x) = sum_j rho_j(y) chi_j(x)^2 on the closed z-nodes, shape (ny1, ny2, nz+1)."""
-    return np.einsum("abj,abjz->abz", rho_j, chi2)
+def band_sum_density(rho_j: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """sum_j rho_j(y) chi_j(x)^2 on the closed z-nodes, zero at z = 0, 1: shape (ny1, ny2, nz+1)."""
+    rho = np.zeros(chi.shape[:2] + (chi.shape[3] + 2,))
+    np.einsum("abj,abjz->abz", rho_j, chi**2, out=rho[..., 1:-1])
+    return rho
 
 
 def band_total(x: np.ndarray) -> float:
@@ -121,14 +117,14 @@ def confined_kinetic(rho_j: np.ndarray, k: np.ndarray, grid: Grid) -> float:
     return 0.5 * band_total(k * rho_j) * (grid.hy1 * grid.hy2)
 
 
-def mode_expectations(W: np.ndarray, chi2: np.ndarray, grid: Grid) -> np.ndarray:
+def mode_expectations(W: np.ndarray, chi: np.ndarray, grid: Grid) -> np.ndarray:
     """int W chi_j^2 dz per slice and band, shape (ny1, ny2, J); W on lateral x closed z-nodes."""
-    return np.einsum("abz,abjz->abj", W * grid.z_weights()[None, None, :], chi2)
+    return np.einsum("abz,abjz->abj", grid.hz * W[..., 1:-1], chi**2)
 
 
-def external_pairing(rho_j: np.ndarray, chi2: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
+def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid: Grid) -> float:
     """sum_j int V chi_j^2 rho_j dx, V sampled on lateral nodes x closed z-nodes."""
-    return band_total(mode_expectations(vext, chi2, grid) * rho_j) * (grid.hy1 * grid.hy2)
+    return band_total(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
 # Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)

@@ -55,7 +55,7 @@ from .rearrange import (
     velocity_kinetic,
 )
 from .schrodinger import band_sum_density, sine_modes, solve_slices  # noqa: F401
-from .schrodinger import check_orthonormal, confined_kinetic, profile_kinetic_energy, zero_extend
+from .schrodinger import check_orthonormal, confined_kinetic, profile_kinetic_energy
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def check_kinetic_interpolation(pair: AdmissiblePair, grid: Grid) -> CheckReport
     s = KINETIC_EXPONENT
     q = (5.0 * s - 3.0) / (3.0 * s - 1.0)
     rho_j = band_densities(pair)
-    rho = band_sum_density(rho_j, zero_extend(pair.chi) ** 2)
+    rho = band_sum_density(rho_j, pair.chi)
     lhs = float(np.sum(rho**q * grid.node_volumes()) ** (1.0 / q))
     fs = np.einsum("abjv,v->j", pair.f**s, pair.vgrid.weights) * (grid.hy1 * grid.hy2)
     holder_lhs = float(np.sum(fs ** (1.0 / s)))
@@ -503,13 +503,13 @@ def check_rearrangement_invariance(
     """
 
     def invariants(p: AdmissiblePair):
-        rho_j, chi2 = band_densities(p), zero_extend(p.chi) ** 2
+        rho_j = band_densities(p)
         casimir = pair_casimir(p, grid, model)
         qkin = confined_kinetic(rho_j, p.k, grid)
         energy = velocity_kinetic(p, grid) + qkin + model.T * casimir
-        return pair_mass(p, grid), casimir, band_sum_density(rho_j, chi2), energy, qkin, chi2
+        return pair_mass(p, grid), casimir, band_sum_density(rho_j, p.chi), energy, qkin
 
-    mass, casimir, rho, energy, qkin, chi2 = invariants(pair)
+    mass, casimir, rho, energy, qkin = invariants(pair)
     up = rearrange_energy_increasing(pair)
     mass_up, casimir_up, rho_up, energy_up, *_ = invariants(up)
     again = rearrange_energy_increasing(dc_replace(up, k=profile_kinetic_energy(up.chi, grid)))
@@ -522,7 +522,7 @@ def check_rearrangement_invariance(
         "energy_up": abs(energy_up - energy),
         "mass_down": abs(pair_mass(down, grid) - mass),
         "casimir_down": abs(pair_casimir(down, grid, model) - casimir),
-        "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, chi2) - rho))),
+        "density_down_joint": float(np.max(np.abs(band_sum_density(rho_joint, pair.chi) - rho))),
         "energy_down_joint": abs(confined_kinetic(rho_joint, pair.k, grid) - qkin),
         "idempotent_up": float(np.max(np.abs(again.chi - up.chi))),
         "idempotent_down": float(np.max(np.abs(rearrange_occupation_decreasing(down).f - down.f))),

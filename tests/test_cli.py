@@ -396,8 +396,11 @@ class TestSolve:
             ("sweep", {}, ["--param", "M", "--values", "10,-1"]),
             ("solve", {"init": {"kind": "random", "seed": -3}}, []),
             ("solve", {"vext": {"kind": "zwell", "amplitude": float("inf")}}, []),
+            # V_ext >= 0 underlies the mu bound, the subband bound and the stability gap
+            ("verify", {"vext": {"kind": "zwell", "amplitude": -40.0}}, []),
         ],
-        ids=["verify_seed", "sweep_value", "init_seed", "vext_amplitude"],
+        ids=["verify_seed", "sweep_value", "init_seed", "vext_amplitude",
+             "vext_amplitude_negative"],
     )
     def test_invalid_input_rejected_before_any_work(self, tmp_path, capsys, command, extra, args):
         cfg = write_config(tmp_path, {**FAST, **extra})

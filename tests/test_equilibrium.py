@@ -21,7 +21,6 @@ from subbandeq.schrodinger import (
     band_sum_density,
     free_mode_eigenvalue,
     solve_slices,
-    zero_extend,
 )
 from subbandeq.verify import check_subband_structure, choose_J_max
 
@@ -32,9 +31,8 @@ def free_spectrum(grid, J):
 
 def occupied(spec, mu, grid, model):
     """occupy_modes at the spectrum's eigenpairs: rho_j, the total density and U."""
-    chi2 = zero_extend(spec.chi) ** 2
-    rho_j, U = occupy_modes(spec.lam, mu, chi2, grid, model)
-    return rho_j, band_sum_density(rho_j, chi2), U
+    rho_j, U = occupy_modes(spec.lam, mu, spec.chi, grid, model)
+    return rho_j, band_sum_density(rho_j, spec.chi), U
 
 
 def state_at(spec, mu, grid, model, vext, U=None):
@@ -712,9 +710,17 @@ class TestExternalPotential:
         with pytest.raises(TypeError):
             SolverConfig(init_kind="random", init_seed=1.5)
         assert SolverConfig(init_kind="random", init_seed=np.int64(3)).init_seed == 3
-        for amplitude in (np.inf, np.nan):
+        for amplitude in (np.inf, np.nan, -40.0, -1e-300):
             with pytest.raises(ValueError):
                 SolverConfig(vext_kind="zwell", vext_amplitude=amplitude)
+        assert SolverConfig(vext_kind="zwell", vext_amplitude=0.0).vext_amplitude == 0.0
+        # a float cap would allow ceil(max_outer) steps, and inf none at all
+        for max_outer in (2.5, 3.0, float("inf")):
+            with pytest.raises(TypeError):
+                SolverConfig(max_outer=max_outer)
+        assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
+        with pytest.raises(ValueError):
+            SolverConfig(max_outer=np.int64(0))
         for tol in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SolverConfig(fp_tol=tol)

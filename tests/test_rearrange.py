@@ -15,7 +15,7 @@ from subbandeq.rearrange import (
     rearrange_occupation_decreasing,
 )
 from subbandeq.schrodinger import (
-    band_sum_density, check_orthonormal, profile_kinetic_energy, zero_extend,
+    band_sum_density, check_orthonormal, profile_kinetic_energy,
 )
 from subbandeq.verify import random_test_pair
 
@@ -42,7 +42,7 @@ def sine_pair(order=(1, 2), f_values=None):
 def joint_density_loop(pair, order):
     """Speed node by speed node: the reference for the one-hot contraction."""
     f_perm = np.take_along_axis(pair.f, order, axis=2)
-    chi2 = zero_extend(pair.chi**2)
+    chi2 = np.pad(pair.chi**2, ((0, 0),) * 3 + ((1, 1),))
     rho = np.zeros_like(chi2[:, :, 0])
     for v, w in enumerate(pair.vgrid.weights):
         chi2_perm = np.take_along_axis(chi2, order[..., v][..., None], axis=2)
@@ -147,8 +147,8 @@ class TestEnergySort:
             assert abs(
                 pair_casimir(out, GRID, model) - pair_casimir(pair, GRID, model)
             ) <= 1e-12
-            d0 = band_sum_density(band_densities(pair), zero_extend(pair.chi) ** 2)
-            d1 = band_sum_density(band_densities(out), zero_extend(out.chi) ** 2)
+            d0 = band_sum_density(band_densities(pair), pair.chi)
+            d1 = band_sum_density(band_densities(out), out.chi)
             assert np.max(np.abs(d1 - d0)) <= 1e-12 * max(1.0, np.max(np.abs(d0)))
 
     def test_idempotent(self):
@@ -186,9 +186,9 @@ class TestOccupationSort:
     def test_joint_density_invariance(self):
         for seed in range(3):
             pair = random_test_pair(GRID, 3, VGRID, seed + 50)
-            order, chi2 = occupation_sort_permutation(pair), zero_extend(pair.chi) ** 2
-            joint = band_sum_density(joint_band_densities(pair, order), chi2)
-            plain = band_sum_density(band_densities(pair), chi2)
+            order = occupation_sort_permutation(pair)
+            joint = band_sum_density(joint_band_densities(pair, order), pair.chi)
+            plain = band_sum_density(band_densities(pair), pair.chi)
             assert np.max(np.abs(joint - plain)) <= 1e-12 * max(1.0, np.max(plain))
 
     def test_joint_density_follows_order(self):
@@ -198,10 +198,9 @@ class TestOccupationSort:
         pair = random_test_pair(GRID, 3, VGRID, seed=53)
         order = occupation_sort_permutation(pair)
         broken = np.where(order == 1, 0, order)
-        chi2 = zero_extend(pair.chi) ** 2
-        plain = band_sum_density(band_densities(pair), chi2)
+        plain = band_sum_density(band_densities(pair), pair.chi)
         for o in (order, broken):
-            joint = band_sum_density(joint_band_densities(pair, o), chi2)
+            joint = band_sum_density(joint_band_densities(pair, o), pair.chi)
             assert np.max(np.abs(joint - joint_density_loop(pair, o))) <= 1e-13 * np.max(plain)
         assert np.max(np.abs(joint - plain)) > 1e-3 * np.max(plain)
 

@@ -12,12 +12,14 @@ from subbandeq.schrodinger import (
     _ldl_pivots,
     _solve_block,
     _warm,
+    band_sum_density,
+    external_pairing,
     free_mode_eigenvalue,
+    mode_expectations,
     profile_kinetic_energy,
     solve_slice,
     sine_modes,
     solve_slices,
-    zero_extend,
 )
 
 
@@ -253,9 +255,44 @@ class TestSolveSlices:
     def test_chi_closed_pads_zeros(self):
         g = Grid(2, 2, 16)
         spec = solve_slices(np.zeros((2, 2, g.nz - 1)), 2, g)
-        full = zero_extend(spec.chi)
-        assert full.shape == (2, 2, 2, g.nz + 1)
+        full = band_sum_density(np.ones((2, 2, 2)), spec.chi)
+        assert full.shape == (2, 2, g.nz + 1)
         assert np.all(full[..., 0] == 0.0) and np.all(full[..., -1] == 0.0)
+
+
+class TestModeWeightedIntegrals:
+    """The interior-node integrals against the trapezoid rule on zero-padded modes."""
+
+    @staticmethod
+    def operands(J, nz):
+        g = Grid(3, 2, nz)
+        rng = np.random.default_rng(10 * J + nz)
+        chi = rng.standard_normal(g.lateral_shape + (J, nz - 1))
+        rho_j = rng.uniform(0.0, 2.0, g.lateral_shape + (J,))
+        W = rng.standard_normal(g.volume_shape)
+        chi2_closed = np.pad(chi, ((0, 0),) * 3 + ((1, 1),)) ** 2
+        return g, chi, rho_j, W, chi2_closed
+
+    @pytest.mark.parametrize("J", [1, 4])
+    @pytest.mark.parametrize("nz", [4, 32])
+    def test_expectations_match_closed_node_trapezoid(self, J, nz):
+        g, chi, rho_j, W, chi2_closed = self.operands(J, nz)
+        weighted = np.abs(W) * g.z_weights()
+        want = np.einsum("abz,abjz->abj", W * g.z_weights(), chi2_closed)
+        scale = np.einsum("abz,abjz->abj", weighted, chi2_closed)
+        assert np.all(np.abs(mode_expectations(W, chi, g) - want) <= 1e-14 * scale)
+        vext = np.abs(W)  # a nonnegative V_ext, as external_potential builds
+        pairing = np.sum(scale * rho_j) * (g.hy1 * g.hy2)
+        assert abs(external_pairing(rho_j, chi, vext, g) - pairing) <= 1e-14 * pairing
+
+    @pytest.mark.parametrize("J", [1, 4])
+    @pytest.mark.parametrize("nz", [4, 32])
+    def test_density_bitwise_closed_node_form(self, J, nz):
+        g, chi, rho_j, _, chi2_closed = self.operands(J, nz)
+        want = np.einsum("abj,abjz->abz", rho_j, chi2_closed)
+        got = band_sum_density(rho_j, chi)
+        assert got.shape == g.volume_shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBlockIndependence:

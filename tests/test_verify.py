@@ -24,7 +24,7 @@ from subbandeq.rearrange import (
     rearrange_energy_increasing,
     rearrange_occupation_decreasing,
 )
-from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes, zero_extend
+from subbandeq.schrodinger import band_sum_density, profile_kinetic_energy, sine_modes
 from subbandeq.verify import (
     CheckReport,
     _aggregate,
@@ -225,7 +225,7 @@ def _assert_pair_quadrature(base):
     """F and U of the base are those of its own pair, to rounding."""
     F, _ = pair_free_energy(base.pair, GRID, base.cfg.model, vext=external_potential(base.cfg))
     assert base.state.energy.total_direct == pytest.approx(F, rel=1e-12)
-    U = solve_poisson(band_sum_density(band_densities(base.pair), zero_extend(base.pair.chi) ** 2), GRID)
+    U = solve_poisson(band_sum_density(band_densities(base.pair), base.pair.chi), GRID)
     assert np.max(np.abs(base.state.U - U)) <= 1e-12 * np.max(np.abs(U))
 
 
@@ -310,7 +310,7 @@ class TestStateChecks:
         A = g.lateral_area()
         mu = lam1 + M / (2 * np.pi * A)
         zero = np.zeros(g.volume_shape)
-        rho_j, _ = occupy_modes(spec.lam, mu, zero_extend(spec.chi) ** 2, g, MODEL_T0)
+        rho_j, _ = occupy_modes(spec.lam, mu, spec.chi, g, MODEL_T0)
         state = make_state(spec, mu, rho_j, zero, g, MODEL_T0, zero)  # field decoupled
         r = check_mu_bound(state, MODEL_T0, M)
         assert r.passed
