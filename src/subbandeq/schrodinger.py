@@ -5,18 +5,19 @@ Hamiltonian -(1/2) d^2/dz^2 + W(z) with zero boundary values at z = 0, 1.
 Three-point differences on the interior z-nodes give a symmetric
 tridiagonal matrix T (diagonal 1/hz^2 + W_k, off-diagonal -1/(2 hz^2)) whose
 spectrum is real and simple.  Rayleigh-quotient iteration runs on all
-(slice, band) pairs of a block at once by vectorized LDL^T solves, from the
-previous cycle's modes, with sine modes (exact for W = 0) for missing bands
-and slices without a guess.  A slice is kept if each band's residual is at
-most rho = 8 eps ||T||, the intervals sigma_j -/+ rho increase without
-overlapping, and the Sturm count (negative LDL^T pivots) at sigma_{J-1} + rho
-is J; every other slice goes to dense eigh.  The pivots run unguarded, and
-columns whose pivots reach the eps ||T|| guard are recomputed with it, so
-results are those of the guarded recurrence.  A shared Rayleigh polish takes
-the eigenvalues to machine accuracy.  A slice's result depends on its own
-potential and guess, not on its block or neighbours: a sweep works on
-C-ordered (z, pair) columns, gathering the active ones once, and adds every
-z-sum row by row over at least two columns (numpy sums a lone column pairwise).
+(band, slice) columns of a block at once by vectorized LDL^T solves, in
+arrays allocated once per block of as many slices as fit _WORKSET doubles,
+from the previous cycle's modes, with sine modes (exact for W = 0) for
+missing bands and slices without a guess.  A slice is kept if each band's
+residual is at most rho = 8 eps ||T||, the intervals sigma_j -/+ rho increase
+without overlapping, and the Sturm count (negative LDL^T pivots) at
+sigma_{J-1} + rho is J; every other slice goes to dense eigh.  The pivots run
+unguarded, and the guarded recurrence reruns from the first pivot that
+reaches the eps ||T|| guard.  A shared Rayleigh polish takes the eigenvalues
+to machine accuracy.  A slice's result depends on its own potential and
+guess, not on its block or neighbours: a sweep works on C-ordered (z, column)
+arrays, gathering the active columns once, and adds every z-sum row by row
+over at least two columns (numpy sums a lone column pairwise).
 """
 
 from __future__ import annotations
@@ -127,9 +128,7 @@ def external_pairing(rho_j: np.ndarray, chi: np.ndarray, vext: np.ndarray, grid:
     return band_total(mode_expectations(vext, chi, grid) * rho_j) * (grid.hy1 * grid.hy2)
 
 
-# Slices per block: the working set is a few arrays of _BLOCK * J * (nz-1)
-# doubles, whatever the slice count; the results do not depend on it.
-_BLOCK = 256
+_WORKSET = 2**16  # doubles per working array of a block; the results do not depend on it
 _MAX_SWEEPS = 6  # warm Rayleigh-quotient sweeps before a slice falls back
 _EPS = np.finfo(float).eps
 
@@ -147,53 +146,69 @@ def _guarded_pivots(D, e: float, guard):
     return piv
 
 
-def _ldl_pivots(A, shift, e: float, guard):
+def _ldl_pivots(A, shift, e: float, guard, out=None):
     """The pivots of _guarded_pivots(A - shift, e, guard), computed fast.
 
-    The recurrence first runs without the guard, in place.  Up to its first
-    clamp the guarded loop does the same IEEE operations in the same order,
-    so a column whose pivots all have magnitude at least guard is exact as
-    it stands.  Every other column (a pivot below guard, possibly zero and
-    followed by inf, or NaN, which fails both comparisons) is recomputed by
-    the guarded loop itself.
+    shift and guard hold a value per column of the pivots (n, ...), written
+    to out if given.  The recurrence runs unguarded, in place; up to its
+    first clamp the guarded loop does the same IEEE operations in the same
+    order.  So a column is exact above its first pivot below guard (maybe
+    zero, then inf) or NaN, which fails both tests, and from the first such
+    row of any column the guarded loop reruns the columns that have one.
     """
-    D = A - shift
+    D = np.subtract(A, shift, out=out)
+    P, g = D.reshape(len(D), -1), guard.reshape(-1)
     c = e * e
-    t = np.empty_like(D[0])
+    t = np.empty_like(P[0])
     with np.errstate(divide="ignore", over="ignore"):
-        for prev, row in zip(D, D[1:]):
+        for prev, row in zip(P, P[1:]):
             np.divide(c, prev, out=t)
             np.subtract(row, t, out=row)
-    redo = np.flatnonzero(~np.all((D >= guard) | (D <= -guard), axis=0))
+    fine = (P >= g) | (P <= -g)
+    redo = np.flatnonzero(~np.all(fine, axis=0))
     if redo.size:
-        D[:, redo] = _guarded_pivots(A[:, redo] - shift[redo], e, guard[redo])
+        k = int(np.argmin(np.all(fine[:, redo], axis=1)))
+        col = np.unravel_index(redo, D.shape[1:])
+        S = np.broadcast_to(A, D.shape)[(slice(k, None), *col)] - shift.reshape(-1)[redo]
+        S[0] = P[k, redo]  # the unguarded pivot: exact before its clamp
+        P[k:, redo] = _guarded_pivots(S, e, g[redo])
     return D
 
 
 def _zsum(P):
-    """Column sums of the C-ordered P, rows in order (numpy sums a lone column pairwise)."""
-    return np.add.reduce(P if P.shape[1] > 1 else np.repeat(P, 2, axis=1), axis=0)[: P.shape[1]]
+    """Sums over the first axis of the C-ordered P, rows in order (numpy sums a lone column pairwise)."""
+    return np.add.reduce(P if P[0].size > 1 else np.repeat(P, 2, axis=1), axis=0)[: len(P[0])]
 
 
-def _rayleigh(A, e: float, X):
-    """Rayleigh quotients and residual norms of the unit columns of X."""
-    TX = A * X
-    TX[:-1] += e * X[1:]
-    TX[1:] += e * X[:-1]
-    sigma = _zsum(X * TX)
-    TX -= sigma * X
-    return sigma, np.sqrt(_zsum(TX * TX))
+def _apply(A, e: float, X, TX, P):
+    """TX = T X for the columns of X; A, the diagonal, broadcasts against X; P is scratch."""
+    np.multiply(A, X, out=TX)
+    np.add(TX[:-1], np.multiply(X[1:], e, out=P[:-1]), out=TX[:-1])
+    np.add(TX[1:], np.multiply(X[:-1], e, out=P[1:]), out=TX[1:])
+    return TX
 
 
-def _warm(a, e: float, chi_g):
-    """Vectors (B, J, n) from the guessed modes chi_g and the certified slices."""
-    B, J, n = chi_g.shape
-    A = np.repeat(a.T, J, axis=1)  # z by (slice, band) pair
-    V = chi_g.reshape(B * J, n).T.copy()
-    V /= np.sqrt(_zsum(V * V))
-    guard = _EPS * np.repeat(np.max(np.abs(a), axis=1) + 2.0 * abs(e), J)
+def _rayleigh(A, e: float, X, TX, P):
+    """Rayleigh quotients and residual norms of the unit columns of X; as _apply, A may be TX."""
+    _apply(A, e, X, TX, P)
+    sigma = _zsum(np.multiply(X, TX, out=P))
+    TX -= np.multiply(X, sigma, out=P)
+    return sigma.ravel(), np.sqrt(_zsum(np.multiply(TX, TX, out=P))).ravel()
+
+
+def _warm(aT, e: float, V, work):
+    """Sweep the start vectors V (n, J, B) in place; True for each certified slice.
+
+    aT (n, B): the diagonals.  work: three flat arrays of V.size doubles for
+    the pivots, e / pivots and a partial sweep's active columns (C-ordered).
+    """
+    n, J, B = V.shape
+    D, L, _ = (w.reshape(V.shape) for w in work)
+    with np.errstate(invalid="ignore"):  # a zero guessed mode turns NaN and falls back
+        V /= np.sqrt(_zsum(np.multiply(V, V, out=D)))
+    guard = _EPS * np.tile(np.max(np.abs(aT), axis=0) + 2.0 * abs(e), J)
     rho = 8.0 * guard
-    sigma, r = _rayleigh(A, e, V)
+    sigma, r = _rayleigh(aT[:, None, :], e, V, D, L)
     r_prev = np.full_like(r, np.inf)
     for _ in range(_MAX_SWEEPS):
         # Done at rounding level: below eps ||T||, or below rho and no
@@ -201,54 +216,73 @@ def _warm(a, e: float, chi_g):
         act = np.flatnonzero(~((r <= guard) | ((r <= rho) & (4.0 * r > r_prev))))
         if act.size == 0:
             break
-        # C-ordered either way: in place, or gathered by take (A[:, act] is F-ordered)
-        Aa, X = (A, V) if act.size == r.size else (A.take(act, axis=1), V.take(act, axis=1))
-        piv = _ldl_pivots(Aa, sigma[act], e, guard[act])
-        l = e / piv
+        if act.size == r.size:  # X is V; each slice's diagonal broadcasts over its bands
+            A, X, Dx, Lx = aT[:, None, :], V, D, L
+            shift, g = sigma.reshape(J, B), guard.reshape(J, B)
+        else:  # mode="clip" takes straight into out; "raise" would buffer
+            Dx, Lx, X = (w[: n * act.size].reshape(n, -1) for w in work)
+            np.take(V.reshape(n, -1), act, axis=1, out=X, mode="clip")
+            A = np.take(aT, act % B, axis=1, out=Lx, mode="clip")
+            shift, g = sigma[act], guard[act]
+        piv = _ldl_pivots(A, shift, e, g, out=Dx)
+        l, tx = np.divide(e, piv, out=Lx), np.empty_like(X[0])  # tx: one z-row
         for k in range(1, n):
-            X[k] -= l[k - 1] * X[k - 1]
+            X[k] -= np.multiply(l[k - 1], X[k - 1], out=tx)
         X /= piv
         for k in range(n - 2, -1, -1):
-            X[k] -= l[k] * X[k + 1]
-        X /= np.sqrt(_zsum(X * X))
+            X[k] -= np.multiply(l[k], X[k + 1], out=tx)
+        X /= np.sqrt(_zsum(np.multiply(X, X, out=Dx)))
         if X is not V:
-            V[:, act] = X
+            V.reshape(n, -1)[:, act] = X
+            A = np.take(aT, act % B, axis=1, out=Dx, mode="clip")
         r_prev[act] = r[act]
-        sigma[act], r[act] = _rayleigh(Aa, e, X)
+        sigma[act], r[act] = _rayleigh(A, e, X, Dx, Lx)
     # Each interval sigma_j -/+ rho holds an eigenvalue; disjoint, increasing
     # and with J eigenvalues below the top one's end, they hold the lowest J.
-    ok = np.all((r <= rho).reshape(B, J), axis=1)
-    lo, hi = (sigma - rho).reshape(B, J), (sigma + rho).reshape(B, J)
-    ok &= np.all(hi[:, :-1] < lo[:, 1:], axis=1)
-    ok &= np.sum(_ldl_pivots(a.T, hi[:, -1], e, guard[::J]) < 0.0, axis=0) == J
-    return np.ascontiguousarray(V.T).reshape(B, J, n), ok
+    ok = np.all((r <= rho).reshape(J, B), axis=0)
+    lo, hi = (sigma - rho).reshape(J, B), (sigma + rho).reshape(J, B)
+    ok &= np.all(hi[:-1] < lo[1:], axis=0)
+    count = _ldl_pivots(aT, hi[-1], e, guard[:B], out=work[0][: n * B].reshape(n, B)) < 0.0
+    return ok & (np.sum(count, axis=0) == J)
 
 
-def _solve_block(W, J: int, grid: Grid, chi_g=None):
-    """Lowest J pairs (lam, chi) of the slices W (B, n); chi_g (B, <= J, n) guesses the modes."""
+def _solve_block(W, J: int, grid: Grid, chi_g=None, out=None):
+    """Lowest J pairs (lam, chi) of the slices W (B, n); chi_g (B, <= J, n) guesses the modes.
+
+    chi goes to out (B, J, n) if given.  The working set beyond chi is three
+    arrays of B * J * n doubles, allocated once, and the diagonals (n, B).
+    """
     if not np.all(np.isfinite(W)):
         raise ValueError("potential profile contains non-finite values")
     if not 1 <= J <= W.shape[1]:
         raise ValueError(f"band count {J} out of range 1..{W.shape[1]}")
+    B, n = W.shape
     e = -0.5 / grid.hz**2
-    a = 1.0 / grid.hz**2 + W
-    B, n = a.shape
-    start = np.broadcast_to(sine_modes(J, grid), (B, J, n))
+    aT = np.add(W.T, 1.0 / grid.hz**2, out=np.empty((n, B)))
+    chi = np.empty((B, J, n)) if out is None else out
+    work = np.empty((3, n * J * B))
+    V = work[2].reshape(n, J, B)  # z by (band, slice) column
+    V[...] = sine_modes(J, grid).T[:, :, None]
     if chi_g is not None:
-        start = np.concatenate([chi_g, start[:, chi_g.shape[1] :]], axis=1)
-    V, ok = _warm(a, e, start)
+        V[:, : chi_g.shape[1]] = chi_g.transpose(2, 1, 0)
+    ok = _warm(aT, e, V, (work[0], work[1], chi.reshape(-1)))
     for i in np.flatnonzero(~ok):
         # Last resort, O(n^3) per slice: the dense symmetric eigensolver.
-        V[i] = np.linalg.eigh(np.diag(a[i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1)))[1][:, :J].T
-    TV = a[:, None, :] * V
-    TV[..., :-1] += e * V[..., 1:]
-    TV[..., 1:] += e * V[..., :-1]
-    lam = np.sum(V * TV, axis=-1) / np.sum(V * V, axis=-1)
+        T = np.diag(aT[:, i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
+        V[:, :, i] = np.linalg.eigh(T)[1][:, :J]
+    # The polish: T V in V's layout, then both moved to (slice, band, z),
+    # where the sums along z run pairwise, as numpy sums a contiguous axis.
+    TV = _apply(aT[:, None, :], e, V, *work[:2].reshape(2, n, J, B))  # in work[0]
+    chi[...] = V.transpose(2, 1, 0)
+    P, TVt = work[:2].reshape(2, B, J, n)
+    TVt[...] = TV.transpose(2, 1, 0)
+    vv = np.add.reduce(np.multiply(chi, chi, out=P), axis=-1)
+    lam = np.add.reduce(np.multiply(chi, TVt, out=P), axis=-1) / vv
     if np.any(lam[:, 1:] < lam[:, :-1]):
         order = np.argsort(lam, axis=-1, kind="stable")
-        lam = np.take_along_axis(lam, order, axis=-1)
-        V = np.take_along_axis(V, order[..., None], axis=1)
-    chi = V / np.sqrt(grid.hz * np.sum(V * V, axis=-1))[..., None]
+        lam, vv = np.take_along_axis(lam, order, axis=-1), np.take_along_axis(vv, order, axis=-1)
+        chi[...] = np.take_along_axis(chi, order[..., None], axis=1)
+    chi /= np.sqrt(grid.hz * vv)[..., None]
     first = chi[..., 0]
     if np.any(first == 0.0):
         first = np.take_along_axis(chi, np.argmax(chi != 0.0, axis=-1)[..., None], -1)[..., 0]
@@ -282,13 +316,16 @@ def solve_slices(W3, J: int, grid: Grid, guess: SubbandSpectrum | None = None) -
     n = grid.nz - 1
     if W.shape != (ny1, ny2, n):
         raise ValueError("slice potential has wrong shape")
+    if guess is not None and guess.chi.shape[:2] + guess.chi.shape[3:] != (ny1, ny2, n):
+        raise ValueError("guess spectrum does not match grid")
     W = W.reshape(-1, n)
     lam, chi = np.empty((len(W), J)), np.empty((len(W), J, n))
     if guess is None and np.all(W == W[0]):
         lam[:], chi[:] = _solve_block(W[:1], J, grid)
     else:
-        for i in range(0, len(W), _BLOCK):
-            blk = slice(i, i + _BLOCK)
+        step = max(1, _WORKSET // (J * n))
+        for i in range(0, len(W), step):
+            blk = slice(i, i + step)
             chi_g = None if guess is None else guess.chi.reshape(len(W), guess.J, n)[blk, :J]
-            lam[blk], chi[blk] = _solve_block(W[blk], J, grid, chi_g)
+            lam[blk] = _solve_block(W[blk], J, grid, chi_g, chi[blk])[0]
     return SubbandSpectrum(lam=lam.reshape(ny1, ny2, J), chi=chi.reshape(ny1, ny2, J, n))

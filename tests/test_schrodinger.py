@@ -51,9 +51,9 @@ def record_sweeps(monkeypatch):
         calls.append([])
         return warm(*args)
 
-    def rayleigh_recording(A, e, X):
-        calls[-1].append(X.shape[1])
-        return rayleigh(A, e, X)
+    def rayleigh_recording(A, e, X, *scratch):
+        calls[-1].append(X[0].size)
+        return rayleigh(A, e, X, *scratch)
 
     monkeypatch.setattr(sch, "_warm", warm_recording)
     monkeypatch.setattr(sch, "_rayleigh", rayleigh_recording)
@@ -63,6 +63,12 @@ def record_sweeps(monkeypatch):
 def partly_active(calls) -> bool:
     """Some sweep left a block with active and converged columns."""
     return any(0 < m < cols[0] for cols in calls for m in cols[1:])
+
+
+def warm_certified(a, e, start):
+    """_warm's certified slices for the diagonals a (B, n) from the start vectors (B, J, n)."""
+    V = np.ascontiguousarray(np.transpose(start, (2, 1, 0)))  # z by (band, slice)
+    return _warm(np.ascontiguousarray(a.T), e, V, np.empty((3, V.size)))
 
 
 def tridiagonal_apply(W, chi, grid):
@@ -240,6 +246,14 @@ class TestSolveSlices:
             with pytest.raises(ValueError, match="slice potential has wrong shape"):
                 solve_slices(np.zeros(shape), 2, g)
 
+    def test_guess_from_another_grid_rejected(self):
+        g = Grid(4, 4, 16)
+        W = zwell_noise(g, 1)
+        for other in (Grid(4, 4, 24), Grid(4, 5, 16), Grid(5, 4, 16)):
+            guess = solve_slices(zwell_noise(other, 1), 2, other)
+            with pytest.raises(ValueError, match="guess spectrum does not match grid"):
+                solve_slices(W, 2, g, guess)
+
     def test_validate_rejects_shape_and_band_order(self):
         g = Grid(3, 4, 16)
         spec = solve_slices(np.zeros((3, 4, g.nz - 1)), 3, g)
@@ -318,8 +332,9 @@ class TestBlockIndependence:
         W, guess = self.mixed_slices(g)
         guess = guess if warm else None
         specs = []
-        for block in (g.ny2, 256, g.ny1 * g.ny2):  # one row, the default, the whole grid
-            monkeypatch.setattr(sch, "_BLOCK", block)
+        cols = 4 * (g.nz - 1)  # doubles per slice at J = 4
+        for cap in (cols, sch._WORKSET, g.ny1 * g.ny2 * cols):  # one slice, the default, the whole grid
+            monkeypatch.setattr(sch, "_WORKSET", cap)
             calls = record_sweeps(monkeypatch)
             specs.append(solve_slices(W, 4, g, guess))
             monkeypatch.undo()
@@ -390,6 +405,53 @@ class TestPivots:
         assert np.array_equal(piv, ref)
         assert np.array_equal(np.sum(piv < 0.0, axis=0), np.sum(ref < 0.0, axis=0))
 
+    def test_guarded_restart_bitwise_from_first_clamp(self, monkeypatch):
+        # columns of tridiag(e, A, e) whose first clamp sits in the first, a
+        # middle or the last row (a zero pivot, then inf), a tiny pivot, NaN
+        # and +/-inf diagonals, two clamps, and no clamp at all
+        import subbandeq.schrodinger as sch
+
+        n, e = 12, -0.5
+        c, guard, mid = e * e, 1e-8, n // 2
+
+        def column(k=None, tiny=0.0, at=None, value=None):
+            a = np.full(n, 2.0)
+            if at is not None:
+                a[at] = value
+            if k is not None:  # pivot k comes out exactly 0 (or tiny) unguarded
+                piv = _ldl_pivots(a[:, None], np.zeros(1), e, np.full(1, guard))[:, 0]
+                a[k] = (c / piv[k - 1] if k else 0.0) + tiny
+            return a
+
+        cases = {
+            "first": column(0), "middle": column(mid), "last": column(n - 1),
+            "tiny": column(mid, tiny=1e-12), "nan": column(at=3, value=np.nan),
+            "inf": column(at=5, value=np.inf), "-inf": column(at=5, value=-np.inf),
+            "twice": column(n - 2, at=2, value=c / 2.0), "clean": column(),
+        }
+        rows = []
+
+        def recording(D, e, guard):
+            rows.append(len(D))
+            return _guarded_pivots(D, e, guard)
+
+        monkeypatch.setattr(sch, "_guarded_pivots", recording)
+        for names in [[name] for name in cases] + [list(cases)]:
+            A = np.stack([cases[name] for name in names], axis=1)
+            g = np.full(len(names), guard)
+            ref = _guarded_pivots(A, e, g)
+            rows.clear()
+            piv = _ldl_pivots(A, np.zeros(len(names)), e, g)
+            assert np.array_equal(piv.view(np.uint64), ref.view(np.uint64)), names
+            if names == ["last"]:
+                assert rows == [1]  # only the last row reruns guarded
+            elif names == ["middle"]:
+                assert rows == [n - mid]
+            elif names in (["clean"], ["inf"], ["-inf"]):
+                assert rows == []
+        clamped = np.any(ref == -guard, axis=0)
+        assert list(clamped) == [True] * 4 + [False] * 3 + [True, False]
+
     def test_solver_bitwise_guarded_reference(self, monkeypatch):
         g = Grid(32, 32, 16)
         W = zwell_noise(g, 4)
@@ -404,7 +466,7 @@ class TestPivots:
         fast = solve_slices(W, 6, g, guess)
         assert sum(replayed) > 0
         monkeypatch.setattr(
-            "subbandeq.schrodinger._ldl_pivots", lambda A, s, e, gd: _guarded_pivots(A - s, e, gd)
+            "subbandeq.schrodinger._ldl_pivots", lambda A, s, e, gd, out=None: _guarded_pivots(A - s, e, gd)
         )
         ref = solve_slices(W, 6, g, guess)
         assert np.array_equal(fast.lam, ref.lam)
@@ -424,19 +486,24 @@ class TestWarmStart:
         assert np.max(np.abs(warm.chi - cold.chi)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "bands", [[3, 2, 1, 0], [1, 2, 3, 4], [0, 0, 1, 2]],
-        ids=["reversed", "bands_2_5", "duplicated"],
+        "bands", [[3, 2, 1, 0], [1, 2, 3, 4], [0, 0, 1, 2], None],
+        ids=["reversed", "bands_2_5", "duplicated", "zero"],
     )
     def test_bad_guesses_fall_back_to_dense(self, bands):
         # bands 2-5 converge to increasing, disjoint intervals: only the
-        # Sturm count at the top one rejects them
+        # Sturm count at the top one rejects them; zero modes cannot be
+        # normalized and must fall back without a warning
         g = Grid(6, 5, 32)
         W = zwell_noise(g, 2)
         n, e = g.nz - 1, -0.5 / g.hz**2
         near = solve_slices(W + 0.01, 6, g)
-        _, ok = _warm(1.0 / g.hz**2 + W.reshape(-1, n), e, near.chi[:, :, bands].reshape(-1, 4, n))
+        if bands is None:
+            guess = SubbandSpectrum(near.lam[..., :4], np.zeros_like(near.chi[:, :, :4]))
+        else:
+            guess = SubbandSpectrum(near.lam[..., bands], near.chi[:, :, bands])
+        ok = warm_certified(1.0 / g.hz**2 + W.reshape(-1, n), e, guess.chi.reshape(-1, 4, n))
         assert not np.any(ok)
-        spec = solve_slices(W, 4, g, SubbandSpectrum(near.lam[..., bands], near.chi[:, :, bands]))
+        spec = solve_slices(W, 4, g, guess)
         spec.validate(g)
         cold = solve_slices(W, 4, g)
         assert np.max(np.abs(spec.lam - cold.lam)) <= 1e-12
@@ -449,10 +516,10 @@ class TestWarmStart:
 
         certified = []
 
-        def recording(a, e, chi_g):
-            V, ok = _warm(a, e, chi_g)
+        def recording(*args):
+            ok = _warm(*args)
             certified.append(bool(np.all(ok)))
-            return V, ok
+            return ok
 
         monkeypatch.setattr("subbandeq.schrodinger._warm", recording)
         for seed in (1, 2, 3):
@@ -471,13 +538,13 @@ class TestWarmStart:
         assert np.max(np.abs(spec.chi - cold.chi)) <= 1e-12
 
     def test_last_resort_matches_reference(self):
-        from scipy.linalg import eigh_tridiagonal
+        eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
 
         g = Grid(4, 4, 96)
         W = double_well(g)
         n, e = g.nz - 1, -0.5 / g.hz**2
         a = 1.0 / g.hz**2 + W.reshape(-1, n)
-        _, ok = _warm(a, e, np.broadcast_to(sine_modes(6, g), (len(a), 6, n)))
+        ok = warm_certified(a, e, np.broadcast_to(sine_modes(6, g), (len(a), 6, n)))
         assert not np.any(ok)  # every slice reaches the dense eigensolver
         spec = solve_slices(W, 6, g)
         spec.validate(g)
@@ -495,7 +562,7 @@ class TestWarmStart:
         W[[7, 8, 54, 55]] = -4000.0  # nodes z = 8/64, 9/64 and their mirror images
         e = -0.5 / g.hz**2
         a = 1.0 / g.hz**2 + W
-        _, ok = _warm(a[None], e, sine_modes(4, g)[None])
+        ok = warm_certified(a[None], e, sine_modes(4, g)[None])
         assert not np.any(ok)  # the slice reaches the dense eigensolver
         lam, chi = solve_slice(W, 4, g)
         assert np.all(np.diff(lam) >= 0.0)
@@ -540,3 +607,28 @@ class TestWarmStart:
                 tracemalloc.stop()
             extra.append(peak - spec.lam.nbytes - spec.chi.nbytes)
         assert extra[1] <= 1.25 * extra[0]
+
+    def test_warm_solve_peak_within_its_workspace(self, monkeypatch):
+        # _solve_block's working set beyond chi: three arrays of B * J * n
+        # doubles and the diagonals (n, B), plus vectors of a few values per
+        # column (the sweep state, the pivot check's masks).  One more array
+        # of the block's size, as a per-sweep temporary, would not fit.
+        import subbandeq.schrodinger as sch
+
+        g, J = Grid(32, 32, 16), 3
+        n = g.nz - 1
+        B = min(g.ny1 * g.ny2, sch._WORKSET // (J * n))
+        assert B == g.ny1 * g.ny2  # one block
+        W = zwell_noise(g, 4)
+        guess = solve_slices(W + 0.01 * np.random.default_rng(1).standard_normal(W.shape), J, g)
+        solve_slices(W, J, g, guess)
+        calls = record_sweeps(monkeypatch)
+        tracemalloc.start()
+        try:
+            spec = solve_slices(W, J, g, guess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls[0]) >= 3  # sweeps ran
+        workspace = 8 * (3 * B * J * n + n * B + 24 * B * J)
+        assert peak - spec.lam.nbytes - spec.chi.nbytes <= workspace
