@@ -13,11 +13,12 @@ residual is at most rho = 8 eps ||T||, the intervals sigma_j -/+ rho increase
 without overlapping, and the Sturm count (negative LDL^T pivots) at
 sigma_{J-1} + rho is J; every other slice goes to dense eigh.  The pivots run
 unguarded, and the guarded recurrence reruns from the first pivot that
-reaches the eps ||T|| guard.  A shared Rayleigh polish takes the eigenvalues
-to machine accuracy.  A slice's result depends on its own potential and
-guess, not on its block or neighbours: a sweep works on C-ordered (z, column)
-arrays, gathering the active columns once, and adds every z-sum row by row
-over at least two columns (numpy sums a lone column pairwise).
+reaches the eps ||T|| guard.  A kept slice's eigenvalues are the Rayleigh
+quotients it was certified on, a fallback slice's those eigh returns.  A
+slice's result depends on its own potential and guess, not on its block or
+neighbours: a sweep works on C-ordered (z, column) arrays, gathering the
+active columns once, and adds every z-sum row by row over at least two
+columns (numpy sums a lone column pairwise).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SubbandSpectrum:
     lam has shape (ny1, ny2, J) with lam[..., j] strictly increasing in j;
     chi has shape (ny1, ny2, J, nz-1), the interior z-samples of the
     L2(0,1)-normalized modes (zero-extended at z = 0, 1), sign-fixed to be
-    positive at the first interior node.
+    positive at their first nonzero interior sample.
     """
 
     lam: np.ndarray
@@ -62,7 +63,7 @@ class SubbandSpectrum:
         return self.lam.shape[2]
 
     def validate(self, grid: Grid) -> None:
-        if self.lam.shape[:2] != grid.lateral_shape or self.chi.shape[3] != grid.nz - 1:
+        if self.lam.shape[:2] != grid.lateral_shape or self.chi.shape != self.lam.shape + (grid.nz - 1,):
             raise ValueError("spectrum shape does not match grid")
         if not np.all(np.diff(self.lam, axis=2) > 1e-10):
             raise ValueError("eigenvalues are not strictly increasing in the band index")
@@ -197,7 +198,10 @@ def _rayleigh(A, e: float, X, TX, P):
 
 
 def _warm(aT, e: float, V, work):
-    """Sweep the start vectors V (n, J, B) in place; True for each certified slice.
+    """Sweep the start vectors V (n, J, B) in place.
+
+    Returns True for each certified slice, and sigma (J * B,): the Rayleigh
+    quotient of each column of V as it ends, band-major.
 
     aT (n, B): the diagonals.  work: three flat arrays of V.size doubles for
     the pivots, e / pivots and a partial sweep's active columns (C-ordered).
@@ -243,7 +247,7 @@ def _warm(aT, e: float, V, work):
     lo, hi = (sigma - rho).reshape(J, B), (sigma + rho).reshape(J, B)
     ok &= np.all(hi[:-1] < lo[1:], axis=0)
     count = _ldl_pivots(aT, hi[-1], e, guard[:B], out=work[0][: n * B].reshape(n, B)) < 0.0
-    return ok & (np.sum(count, axis=0) == J)
+    return ok & (np.sum(count, axis=0) == J), sigma
 
 
 def _solve_block(W, J: int, grid: Grid, chi_g=None, out=None):
@@ -265,24 +269,14 @@ def _solve_block(W, J: int, grid: Grid, chi_g=None, out=None):
     V[...] = sine_modes(J, grid).T[:, :, None]
     if chi_g is not None:
         V[:, : chi_g.shape[1]] = chi_g.transpose(2, 1, 0)
-    ok = _warm(aT, e, V, (work[0], work[1], chi.reshape(-1)))
+    ok, sigma = _warm(aT, e, V, (work[0], work[1], chi.reshape(-1)))
+    lam = sigma.reshape(J, B).T  # certified: the Rayleigh quotients of the unit V
     for i in np.flatnonzero(~ok):
         # Last resort, O(n^3) per slice: the dense symmetric eigensolver.
         T = np.diag(aT[:, i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
-        V[:, :, i] = np.linalg.eigh(T)[1][:, :J]
-    # The polish: T V in V's layout, then both moved to (slice, band, z),
-    # where the sums along z run pairwise, as numpy sums a contiguous axis.
-    TV = _apply(aT[:, None, :], e, V, *work[:2].reshape(2, n, J, B))  # in work[0]
-    chi[...] = V.transpose(2, 1, 0)
-    P, TVt = work[:2].reshape(2, B, J, n)
-    TVt[...] = TV.transpose(2, 1, 0)
-    vv = np.add.reduce(np.multiply(chi, chi, out=P), axis=-1)
-    lam = np.add.reduce(np.multiply(chi, TVt, out=P), axis=-1) / vv
-    if np.any(lam[:, 1:] < lam[:, :-1]):
-        order = np.argsort(lam, axis=-1, kind="stable")
-        lam, vv = np.take_along_axis(lam, order, axis=-1), np.take_along_axis(vv, order, axis=-1)
-        chi[...] = np.take_along_axis(chi, order[..., None], axis=1)
-    chi /= np.sqrt(grid.hz * vv)[..., None]
+        w, v = np.linalg.eigh(T)  # w ascending
+        lam[i], V[:, :, i] = w[:J], v[:, :J]
+    np.divide(V.transpose(2, 1, 0), np.sqrt(grid.hz), out=chi)
     first = chi[..., 0]
     if np.any(first == 0.0):
         first = np.take_along_axis(chi, np.argmax(chi != 0.0, axis=-1)[..., None], -1)[..., 0]

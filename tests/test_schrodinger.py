@@ -68,14 +68,15 @@ def partly_active(calls) -> bool:
 def warm_certified(a, e, start):
     """_warm's certified slices for the diagonals a (B, n) from the start vectors (B, J, n)."""
     V = np.ascontiguousarray(np.transpose(start, (2, 1, 0)))  # z by (band, slice)
-    return _warm(np.ascontiguousarray(a.T), e, V, np.empty((3, V.size)))
+    return _warm(np.ascontiguousarray(a.T), e, V, np.empty((3, V.size)))[0]
 
 
 def tridiagonal_apply(W, chi, grid):
+    """T chi along the last axis; W broadcasts against chi."""
     hz = grid.hz
     out = (1.0 / hz**2 + W) * chi
-    out[:-1] -= 0.5 / hz**2 * chi[1:]
-    out[1:] -= 0.5 / hz**2 * chi[:-1]
+    out[..., :-1] -= 0.5 / hz**2 * chi[..., 1:]
+    out[..., 1:] -= 0.5 / hz**2 * chi[..., :-1]
     return out
 
 
@@ -265,6 +266,15 @@ class TestSolveSlices:
             swapped = SubbandSpectrum(lam=spec.lam[..., order], chi=spec.chi[..., order, :])
             with pytest.raises(ValueError, match="not strictly increasing"):
                 swapped.validate(g)
+
+    def test_validate_rejects_modes_not_matching_eigenvalues(self):
+        g = Grid(3, 3, 16)
+        spec = solve_slices(zwell_noise(g, 1), 3, g)
+        spec.validate(g)
+        # two bands of eigenvalues against three of modes; modes on two of three lateral rows
+        for bad in (SubbandSpectrum(spec.lam[..., :2], spec.chi), SubbandSpectrum(spec.lam, spec.chi[:2])):
+            with pytest.raises(ValueError, match="spectrum shape does not match grid"):
+                bad.validate(g)
 
     def test_chi_closed_pads_zeros(self):
         g = Grid(2, 2, 16)
@@ -517,9 +527,9 @@ class TestWarmStart:
         certified = []
 
         def recording(*args):
-            ok = _warm(*args)
+            ok, sigma = _warm(*args)
             certified.append(bool(np.all(ok)))
-            return ok
+            return ok, sigma
 
         monkeypatch.setattr("subbandeq.schrodinger._warm", recording)
         for seed in (1, 2, 3):
@@ -553,10 +563,55 @@ class TestWarmStart:
                                    select="i", select_range=(0, 5))
             assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_certified_eigenvalues_are_the_warm_rayleigh_quotients(self, monkeypatch):
+        import subbandeq.schrodinger as sch
+
+        g, J = Grid(8, 8, 32), 4
+        n = g.nz - 1
+        W = zwell_noise(g, 3).reshape(-1, n)
+        chi_g = _solve_block(W + 0.05 * np.random.default_rng(2).standard_normal(W.shape), J, g)[1]
+        results = []
+
+        def recording(*args):
+            ok, sigma = _warm(*args)
+            results.append((ok.copy(), sigma.copy()))
+            return ok, sigma
+
+        monkeypatch.setattr(sch, "_warm", recording)
+        for guess in (None, chi_g):
+            results.clear()
+            lam = _solve_block(W, J, g, guess)[0]
+            (ok, sigma), = results
+            assert np.all(ok)
+            assert np.array_equal(lam.view(np.uint64), sigma.reshape(J, -1).T.view(np.uint64))
+
+    def test_dense_eigenvalues_are_eighs(self):
+        g, J = Grid(4, 4, 96), 6
+        n, e = g.nz - 1, -0.5 / g.hz**2
+        W = double_well(g).reshape(-1, n)
+        a = 1.0 / g.hz**2 + W
+        assert not np.any(warm_certified(a, e, np.broadcast_to(sine_modes(J, g), (len(a), J, n))))
+        lam = _solve_block(W, J, g)[0]
+        for i in range(len(a)):
+            T = np.diag(a[i]) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
+            assert np.array_equal(lam[i].view(np.uint64), np.linalg.eigh(T)[0][:J].view(np.uint64))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_eigenvalues_are_rayleigh_quotients_of_the_modes(self, warm):
+        # certified slices (zwell plus noise) and, cold, dense ones (double well)
+        for g, J, seed in ((Grid(6, 5, 32), 4, 2), (Grid(16, 16, 64), 6, 7), (Grid(2, 2, 96), 6, None)):
+            W = double_well(g) if seed is None else zwell_noise(g, seed)
+            guess = solve_slices(W + 0.01, J, g) if warm else None
+            spec = solve_slices(W, J, g, guess)
+            chi = spec.chi
+            ref = np.sum(chi * tridiagonal_apply(W[..., None, :], chi, g), axis=-1) / np.sum(chi * chi, axis=-1)
+            norm = np.max(np.abs(1.0 / g.hz**2 + W), axis=-1) + 1.0 / g.hz**2  # ||T|| bound
+            assert np.all(np.abs(spec.lam - ref) <= 2.0 * _EPS * norm[..., None])
+
     def test_dense_pairs_sorted_by_rayleigh_quotient(self):
         # a symmetric double well: its two lowest eigenvalues agree to
-        # rounding, and the Rayleigh quotients of dense eigh's vectors can
-        # come out of order; the pairs are reordered together
+        # rounding.  The slice takes dense eigh's eigenvalues, which come in
+        # ascending order, and each with its own vector is an eigenpair
         g = Grid(2, 2, 64)
         W = np.zeros(g.nz - 1)
         W[[7, 8, 54, 55]] = -4000.0  # nodes z = 8/64, 9/64 and their mirror images
